@@ -1,5 +1,7 @@
 #include "engine/reference_cache.hpp"
 
+#include <cstdint>
+#include <future>
 #include <mutex>
 #include <unordered_map>
 
@@ -10,8 +12,13 @@ namespace {
 
 struct Cache {
   std::mutex mutex;
-  std::unordered_map<std::string, double> values;
+  // A key's future becomes ready when its value is known; until then it is
+  // the in-flight computation that later callers wait on.
+  std::unordered_map<std::string, std::shared_future<double>> values;
   ReferenceCacheStats stats;
+  // Bumped by clear_reference_cache, so a computation that outlives a clear
+  // knows the entry under its key is no longer its own.
+  std::uint64_t generation = 0;
 };
 
 Cache& cache() {
@@ -24,25 +31,42 @@ Cache& cache() {
 double cached_reference(const std::string& key,
                         const std::function<double()>& compute) {
   Cache& c = cache();
+  std::promise<double> promise;
+  std::shared_future<double> in_flight;
+  std::uint64_t generation = 0;
   {
     const std::lock_guard<std::mutex> lock(c.mutex);
-    const auto it = c.values.find(key);
-    if (it != c.values.end()) {
+    const auto [it, inserted] = c.values.try_emplace(key);
+    if (inserted) {
+      ++c.stats.misses;
+      it->second = promise.get_future().share();
+      generation = c.generation;
+    } else {
       ++c.stats.hits;
-      if (obs::enabled()) {
-        obs::Registry::global().counter("cache.reference.hits").add(1);
-      }
-      return it->second;
+      in_flight = it->second;
     }
-    ++c.stats.misses;
+  }
+  if (in_flight.valid()) {
+    if (obs::enabled()) {
+      obs::Registry::global().counter("cache.reference.hits").add(1);
+    }
+    return in_flight.get();  // rethrows if the first caller's compute threw
   }
   if (obs::enabled()) {
     obs::Registry::global().counter("cache.reference.misses").add(1);
   }
-  const double value = compute();
-  const std::lock_guard<std::mutex> lock(c.mutex);
-  c.values.emplace(key, value);
-  return value;
+  try {
+    const double value = compute();
+    promise.set_value(value);
+    return value;
+  } catch (...) {
+    {
+      const std::lock_guard<std::mutex> lock(c.mutex);
+      if (c.generation == generation) c.values.erase(key);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
 }
 
 ReferenceCacheStats reference_cache_stats() {
@@ -56,6 +80,7 @@ void clear_reference_cache() {
   const std::lock_guard<std::mutex> lock(c.mutex);
   c.values.clear();
   c.stats = {};
+  ++c.generation;
 }
 
 }  // namespace ps::engine

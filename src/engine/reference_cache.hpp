@@ -14,9 +14,14 @@
 namespace ps::engine {
 
 /// Returns the cached value under `key`, computing it with `compute` (and
-/// storing the result) on a miss. Thread-safe; `compute` runs outside the
-/// lock, so concurrent first requests for one key may compute it twice —
-/// harmless for deterministic references.
+/// storing the result) on a miss. Thread-safe, and each key is computed at
+/// most once: the first caller (the one miss) inserts an in-flight entry and
+/// runs `compute` outside the lock; concurrent callers for the same key
+/// count as hits and block until that value is ready. If `compute` throws,
+/// the in-flight entry is removed, every waiter is released with the same
+/// exception, and the first caller rethrows it, so the next call for the
+/// key computes afresh. `compute` must not request its own key (it would
+/// wait on itself).
 ///
 /// Keys must uniquely identify the instance AND the reference semantics.
 /// Where the instance has a serializer, use it; otherwise draw one raw
@@ -34,7 +39,9 @@ struct ReferenceCacheStats {
 /// Snapshot of the global cache's hit/miss counters (for tests and tuning).
 ReferenceCacheStats reference_cache_stats();
 
-/// Drops every cached value and zeroes the counters (tests only).
+/// Drops every cached value and zeroes the counters (tests only). A compute
+/// still in flight across a clear returns its value to its callers but
+/// neither stores it nor, if it throws, removes a newer entry for its key.
 void clear_reference_cache();
 
 }  // namespace ps::engine

@@ -85,20 +85,18 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t num_workers = workers_.size() + 1;  // caller participates
-  const std::size_t chunk = (n + num_workers - 1) / num_workers;
-
-  // The caller takes the first chunk; workers take the rest.
-  for (std::size_t chunk_begin = begin + chunk; chunk_begin < end;
-       chunk_begin += chunk) {
-    const std::size_t chunk_end = std::min(chunk_begin + chunk, end);
-    submit([&body, chunk_begin, chunk_end] {
-      for (std::size_t i = chunk_begin; i < chunk_end; ++i) body(i);
-    });
-  }
-  const std::size_t first_end = std::min(begin + chunk, end);
-  for (std::size_t i = begin; i < first_end; ++i) body(i);
+  // Every participant claims one index at a time from a shared counter, so
+  // a few expensive indices never queue up behind one thread.
+  std::atomic<std::size_t> next{begin};
+  const auto drain = [&next, &body, end] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < end;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  };
+  const std::size_t helpers = std::min(workers_.size(), end - begin - 1);
+  for (std::size_t h = 0; h < helpers; ++h) submit(drain);
+  drain();  // the caller participates
   wait_idle();
 }
 

@@ -3,8 +3,10 @@
 // The library uses data parallelism in two hot spots: evaluating many greedy
 // candidates against a submodular oracle (src/core) and running Monte-Carlo
 // trials of online algorithms (src/secretary). Both are embarrassingly
-// parallel; the pool provides static chunking with deterministic per-index
-// work so that results do not depend on the number of workers.
+// parallel. parallel_for hands out indices dynamically, one at a time, so
+// which thread runs an index varies from run to run; results do not depend
+// on the number of workers because each index's work is deterministic and
+// writes to its own index-addressed output slot.
 #pragma once
 
 #include <condition_variable>
@@ -38,10 +40,15 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
-  /// Runs body(i) for i in [begin, end), splitting the range into contiguous
-  /// chunks across the workers, and blocks until all iterations finish.
-  /// The calling thread participates, so this is safe to use with a pool of
-  /// size 1 and never deadlocks on nested use from the caller's side.
+  /// Runs body(i) exactly once for each i in [begin, end) and blocks until
+  /// all iterations finish. The caller and up to min(size(), n - 1) workers
+  /// each claim the next unclaimed index from a shared atomic counter until
+  /// the range is exhausted, so expensive indices spread over every thread
+  /// whatever their position. Iterations run in no fixed order or thread:
+  /// body must be safe to run concurrently and should write only to
+  /// index-addressed output for results to be deterministic. The calling
+  /// thread participates, so this is safe to use with a pool of size 1 and
+  /// never deadlocks on nested use from the caller's side.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 

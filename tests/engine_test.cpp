@@ -11,6 +11,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "engine/reference_cache.hpp"
 #include "engine/registry.hpp"
@@ -591,6 +594,106 @@ TEST(ReferenceCache, ComputesOncePerKey) {
   const auto stats = reference_cache_stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
+  clear_reference_cache();
+}
+
+TEST(ReferenceCache, ConcurrentFirstCallersComputeOnce) {
+  // compute blocks until all eight callers have arrived, so a cache that
+  // ran compute for every concurrent miss would run it eight times.
+  constexpr int kThreads = 8;
+  clear_reference_cache();
+  std::atomic<int> arrived{0};
+  std::atomic<int> computed{0};
+  const auto compute = [&] {
+    computed.fetch_add(1);
+    while (arrived.load() < kThreads) std::this_thread::yield();
+    return 7.5;
+  };
+  std::vector<double> values(kThreads, 0.0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      values[static_cast<std::size_t>(t)] =
+          cached_reference("engine_test.race", compute);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(computed.load(), 1);
+  for (double value : values) EXPECT_DOUBLE_EQ(value, 7.5);
+  const auto stats = reference_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, static_cast<std::size_t>(kThreads - 1));
+  clear_reference_cache();
+}
+
+TEST(ReferenceCache, ThrowingComputeReleasesWaitersAndLeavesNoEntry) {
+  clear_reference_cache();
+  // The first caller's compute throws only once a second caller is waiting
+  // on its in-flight entry (that wait is counted as a hit).
+  const auto failing = []() -> double {
+    while (reference_cache_stats().hits < 1) std::this_thread::yield();
+    throw std::runtime_error("reference failed");
+  };
+  bool owner_threw = false;
+  std::thread owner([&] {
+    try {
+      cached_reference("engine_test.throw", failing);
+    } catch (const std::runtime_error&) {
+      owner_threw = true;
+    }
+  });
+  while (reference_cache_stats().misses < 1) std::this_thread::yield();
+  EXPECT_THROW(cached_reference("engine_test.throw", [] { return 1.0; }),
+               std::runtime_error);
+  owner.join();
+  EXPECT_TRUE(owner_threw);
+
+  int computed = 0;
+  EXPECT_DOUBLE_EQ(cached_reference("engine_test.throw",
+                                    [&] {
+                                      ++computed;
+                                      return 3.0;
+                                    }),
+                   3.0);
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(reference_cache_stats().misses, 2u);
+  clear_reference_cache();
+}
+
+TEST(ReferenceCache, ComputeOutlivingClearKeepsNewerEntry) {
+  for (const bool throws : {false, true}) {
+    clear_reference_cache();
+    std::atomic<bool> release{false};
+    std::thread stale([&] {
+      const auto compute = [&] {
+        while (!release.load()) std::this_thread::yield();
+        if (throws) throw std::runtime_error("stale compute failed");
+        return 1.0;
+      };
+      if (throws) {
+        EXPECT_THROW(cached_reference("engine_test.clear", compute),
+                     std::runtime_error);
+      } else {
+        EXPECT_DOUBLE_EQ(cached_reference("engine_test.clear", compute), 1.0);
+      }
+    });
+    while (reference_cache_stats().misses < 1) std::this_thread::yield();
+    clear_reference_cache();
+    EXPECT_DOUBLE_EQ(cached_reference("engine_test.clear", [] { return 2.0; }),
+                     2.0);
+    release.store(true);
+    stale.join();
+    int computed = 0;
+    EXPECT_DOUBLE_EQ(cached_reference("engine_test.clear",
+                                      [&] {
+                                        ++computed;
+                                        return 9.0;
+                                      }),
+                     2.0)
+        << (throws ? "throwing" : "finishing") << " stale compute";
+    EXPECT_EQ(computed, 0);
+  }
   clear_reference_cache();
 }
 

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -197,26 +199,40 @@ TEST(ThreadPool, RunsAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(0, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
+  // A non-zero begin checks that indices are offset, not renumbered.
+  constexpr std::size_t kBegin = 5;
+  for (std::size_t workers = 1; workers <= 4; ++workers) {
+    ThreadPool pool(workers);
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, workers, workers + 1,
+                          std::size_t{10000}}) {
+      std::vector<std::atomic<int>> hits(kBegin + n);
+      pool.parallel_for(kBegin, kBegin + n,
+                        [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < hits.size(); ++i) {
+        ASSERT_EQ(hits[i].load(), i < kBegin ? 0 : 1)
+            << "workers=" << workers << " n=" << n << " index " << i;
+      }
+    }
+  }
 }
 
-TEST(ThreadPool, ParallelForEmptyRange) {
+TEST(ThreadPool, ParallelForSpreadsTrailingSlowIndices) {
+  // Grid order puts the expensive trials last. Contiguous chunks would hand
+  // all six slow indices to one thread; dynamic claiming must not.
+  constexpr std::size_t kN = 60;
+  constexpr std::size_t kSlow = 6;
   ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, SingleThreadPoolWorks) {
-  ThreadPool pool(1);
-  std::atomic<int> counter{0};
-  pool.parallel_for(0, 10, [&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
+  std::vector<std::thread::id> ran_on(kN);
+  pool.parallel_for(0, kN, [&](std::size_t i) {
+    if (i >= kN - kSlow) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    ran_on[i] = std::this_thread::get_id();
+  });
+  const std::set<std::thread::id> slow_threads(ran_on.end() - kSlow,
+                                               ran_on.end());
+  EXPECT_GE(slow_threads.size(), 2u);
 }
 
 TEST(ParallelForN, SerialCutoffStillRuns) {
