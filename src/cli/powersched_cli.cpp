@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -1778,9 +1779,7 @@ int cmd_help(const CommandSpec& spec, const std::vector<std::string>& args) {
   return 0;
 }
 
-}  // namespace
-
-int run(const std::vector<std::string>& args) {
+int run_command(const std::vector<std::string>& args) {
   if (args.empty()) {
     std::fputs(general_help_text().c_str(), stderr);
     return 2;
@@ -1821,6 +1820,19 @@ int run(const std::vector<std::string>& args) {
     return cmd_list_solvers();
   }
   return cmd_help(*spec, rest);  // "help"
+}
+
+}  // namespace
+
+int run(const std::vector<std::string>& args) {
+  try {
+    return run_command(args);
+  } catch (const std::exception& e) {
+    // A kernel refusing its input (e.g. the exact optimum's slot cap) deep
+    // inside a sweep is a runtime failure: report it and exit 1, not abort.
+    std::fprintf(stderr, "powersched: %s\n", e.what());
+    return 1;
+  }
 }
 
 int powersched_main(int argc, char** argv) {

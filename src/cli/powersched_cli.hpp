@@ -25,7 +25,8 @@
 namespace ps::cli {
 
 /// Runs one `powersched` invocation: args are argv[1..] ("sweep",
-/// "--preset", "e15", ...). Returns the process exit code (0/1/2).
+/// "--preset", "e15", ...). Returns the process exit code (0/1/2); an
+/// exception escaping the command is printed and exits 1.
 int run(const std::vector<std::string>& args);
 
 /// main() adapter for tools/powersched.cpp.

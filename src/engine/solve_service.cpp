@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -27,11 +27,6 @@ namespace {
 /// holds a connection open for.
 constexpr int kMaxTrials = 1'000'000;
 
-/// Admissible-slot ceiling of brute_force_min_cost_all_jobs; vs_opt requests
-/// above it are rejected up front instead of letting an exponential
-/// enumeration eat a worker thread.
-constexpr int kMaxBruteForceSlots = 22;
-
 const char* const kInstanceSolverNames[] = {
     "budget.value", "power.always_on", "power.greedy", "power.per_job"};
 
@@ -49,16 +44,6 @@ std::string instance_solvers_joined() {
     out += key;
   }
   return out;
-}
-
-/// Number of distinct slots admissible for at least one job — the size of
-/// the set brute_force_min_cost_all_jobs enumerates subsets of.
-int useful_slot_count(const scheduling::SchedulingInstance& instance) {
-  std::set<int> slots;
-  for (const auto& job : instance.jobs()) {
-    for (const auto& ref : job.allowed) slots.insert(instance.slot_index(ref));
-  }
-  return static_cast<int>(slots.size());
 }
 
 /// Brute-force optimum memoized under the SAME key builtin_solvers.cpp uses
@@ -155,8 +140,15 @@ Status SolveService::solve(const SolveRequest& request,
   const bool instance_request =
       !request.instance_text.empty() || !request.instance_file.empty();
   const std::uint64_t start_ns = obs::now_ns();
-  Status status = instance_request ? solve_instance(request, response)
-                                   : solve_generator(request, response);
+  Status status;
+  try {
+    status = instance_request ? solve_instance(request, response)
+                              : solve_generator(request, response);
+  } catch (const std::exception& e) {
+    // A kernel refusing its input (e.g. the exact optimum's slot cap) is a
+    // failed request, never a dead daemon.
+    status = Status::runtime(std::string("solve: ") + e.what());
+  }
   if (status.ok()) {
     response.solve_ns = obs::now_ns() - start_ns;
   } else {
@@ -295,11 +287,13 @@ Status SolveService::solve_instance(const SolveRequest& request,
 
   const bool vs_opt = request.params.get_int("vs_opt", 0) != 0;
   if (vs_opt) {
-    const int slots = useful_slot_count(*instance);
-    if (slots > kMaxBruteForceSlots) {
+    // Rejected up front, as a usage error, rather than by the kernel's
+    // length_error after the solver has run.
+    const int slots = scheduling::count_useful_slots(*instance);
+    if (slots > scheduling::kMaxBruteForceSlots) {
       return Status::usage(
           "solve: vs_opt brute force needs <= " +
-          std::to_string(kMaxBruteForceSlots) +
+          std::to_string(scheduling::kMaxBruteForceSlots) +
           " distinct admissible slots; instance has " + std::to_string(slots));
     }
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "matching/matching_oracle.hpp"
+#include "scheduling/baselines.hpp"
 
 namespace ps::scheduling {
 namespace {
@@ -21,29 +22,9 @@ void finalize_budget(const SchedulingInstance& instance,
   matching::WeightedMatchingOracle oracle(graph, values);
   awake.for_each([&](int slot) { oracle.add_x(slot); });
 
-  const int n = instance.num_jobs();
-  result->schedule.assignment.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::vector<int>> required(
-      static_cast<std::size_t>(instance.num_processors()));
-  for (int j = 0; j < n; ++j) {
-    const int slot = oracle.match_y()[static_cast<std::size_t>(j)];
-    result->schedule.assignment[static_cast<std::size_t>(j)] = slot;
-    if (slot >= 0) {
-      const SlotRef ref = instance.slot_of(slot);
-      required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
-    }
-  }
+  result->schedule.assignment = oracle.match_y();
   result->value = oracle.value();
-  result->schedule.intervals.clear();
-  result->schedule.energy_cost = 0.0;
-  for (int p = 0; p < instance.num_processors(); ++p) {
-    auto& times = required[static_cast<std::size_t>(p)];
-    std::sort(times.begin(), times.end());
-    double c = 0.0;
-    auto cover = min_cost_cover(p, times, instance.horizon(), cost_model, &c);
-    result->schedule.energy_cost += c;
-    for (auto& iv : cover) result->schedule.intervals.push_back(iv);
-  }
+  cover_assigned_slots(instance, cost_model, &result->schedule);
   result->budget_used = result->schedule.energy_cost;
 }
 
@@ -121,48 +102,16 @@ BudgetScheduleResult schedule_max_value_with_energy_budget(
 double brute_force_max_value_with_energy_budget(
     const SchedulingInstance& instance, const CostModel& cost_model,
     double energy_budget) {
-  std::vector<char> useful(static_cast<std::size_t>(instance.num_slots()), 0);
-  for (const auto& job : instance.jobs()) {
-    for (const auto& ref : job.allowed) {
-      useful[static_cast<std::size_t>(instance.slot_index(ref))] = 1;
-    }
-  }
-  std::vector<int> useful_slots;
-  for (int s = 0; s < instance.num_slots(); ++s) {
-    if (useful[static_cast<std::size_t>(s)]) useful_slots.push_back(s);
-  }
-  const int u = static_cast<int>(useful_slots.size());
-  assert(u <= 22 && "brute force limited to 22 useful slots");
-
+  const SlotSubsetCost subsets(instance, cost_model);
   const auto graph = instance.build_slot_job_graph();
   const auto values = instance.job_values();
   matching::WeightedMatchingUtilityFunction utility(graph, values);
 
   double best = 0.0;
-  for (std::uint32_t mask = 0; mask < (1u << u); ++mask) {
-    std::vector<std::vector<int>> required(
-        static_cast<std::size_t>(instance.num_processors()));
-    for (int b = 0; b < u; ++b) {
-      if (!((mask >> b) & 1u)) continue;
-      const SlotRef ref =
-          instance.slot_of(useful_slots[static_cast<std::size_t>(b)]);
-      required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
-    }
-    double cost = 0.0;
-    for (int p = 0; p < instance.num_processors(); ++p) {
-      double c = 0.0;
-      min_cost_cover(p, required[static_cast<std::size_t>(p)],
-                     instance.horizon(), cost_model, &c);
-      cost += c;
-    }
+  for (std::uint32_t mask = 0; mask < subsets.mask_limit(); ++mask) {
+    const double cost = subsets.cost(mask);
     if (cost > energy_budget + 1e-9 || !std::isfinite(cost)) continue;
-    submodular::ItemSet slots(instance.num_slots());
-    for (int b = 0; b < u; ++b) {
-      if ((mask >> b) & 1u) {
-        slots.insert(useful_slots[static_cast<std::size_t>(b)]);
-      }
-    }
-    best = std::max(best, utility.value(slots));
+    best = std::max(best, utility.value(subsets.item_set(mask)));
   }
   return best;
 }

@@ -30,9 +30,9 @@ BudgetScheduleResult schedule_max_value_with_energy_budget(
     const SchedulingInstance& instance, const CostModel& cost_model,
     double energy_budget, const BudgetScheduleOptions& options = {});
 
-/// Exact comparator by exhaustive enumeration (useful slots <= 22):
-/// maximum schedulable value over all slot sets whose optimal interval
-/// cover fits the budget.
+/// Exact comparator by exhaustive enumeration: maximum schedulable value
+/// over all useful-slot sets whose optimal interval cover (SlotSubsetCost)
+/// fits the budget. Throws std::length_error past kMaxBruteForceSlots.
 double brute_force_max_value_with_energy_budget(
     const SchedulingInstance& instance, const CostModel& cost_model,
     double energy_budget);

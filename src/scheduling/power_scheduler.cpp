@@ -1,7 +1,5 @@
 #include "scheduling/power_scheduler.hpp"
 
-#include <algorithm>
-
 #include "matching/hopcroft_karp.hpp"
 
 namespace ps::scheduling {
@@ -62,24 +60,7 @@ PowerScheduleResult schedule_all_jobs(const SchedulingInstance& instance,
   // stay awake in slots no job ended up using. Re-cover exactly the assigned
   // slots per processor with the exact min_cost_cover DP — never worse than
   // the raw picks under any cost model, so the O(B log n) guarantee is kept.
-  std::vector<std::vector<int>> required(
-      static_cast<std::size_t>(instance.num_processors()));
-  for (int j = 0; j < n; ++j) {
-    const int slot = result.schedule.assignment[static_cast<std::size_t>(j)];
-    if (slot < 0) continue;
-    const SlotRef ref = instance.slot_of(slot);
-    required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
-  }
-  result.schedule.energy_cost = 0.0;
-  for (int p = 0; p < instance.num_processors(); ++p) {
-    auto& times = required[static_cast<std::size_t>(p)];
-    std::sort(times.begin(), times.end());
-    double c = 0.0;
-    auto cover =
-        min_cost_cover(p, times, instance.horizon(), cost_model, &c);
-    result.schedule.energy_cost += c;
-    for (auto& iv : cover) result.schedule.intervals.push_back(iv);
-  }
+  cover_assigned_slots(instance, cost_model, &result.schedule);
   return result;
 }
 

@@ -18,30 +18,9 @@ void finalize(const SchedulingInstance& instance, const CostModel& cost_model,
   matching::WeightedMatchingOracle oracle(graph, values);
   awake_slots.for_each([&](int slot) { oracle.add_x(slot); });
 
-  const int n = instance.num_jobs();
-  result->schedule.assignment.assign(static_cast<std::size_t>(n), -1);
-  std::vector<std::vector<int>> required(
-      static_cast<std::size_t>(instance.num_processors()));
-  for (int j = 0; j < n; ++j) {
-    const int slot = oracle.match_y()[static_cast<std::size_t>(j)];
-    result->schedule.assignment[static_cast<std::size_t>(j)] = slot;
-    if (slot >= 0) {
-      const SlotRef ref = instance.slot_of(slot);
-      required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
-    }
-  }
+  result->schedule.assignment = oracle.match_y();
   result->value = oracle.value();
-
-  result->schedule.intervals.clear();
-  result->schedule.energy_cost = 0.0;
-  for (int p = 0; p < instance.num_processors(); ++p) {
-    auto& times = required[static_cast<std::size_t>(p)];
-    std::sort(times.begin(), times.end());
-    double c = 0.0;
-    auto cover = min_cost_cover(p, times, instance.horizon(), cost_model, &c);
-    result->schedule.energy_cost += c;
-    for (auto& iv : cover) result->schedule.intervals.push_back(iv);
-  }
+  cover_assigned_slots(instance, cost_model, &result->schedule);
 }
 
 }  // namespace

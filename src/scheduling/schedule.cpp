@@ -1,5 +1,6 @@
 #include "scheduling/schedule.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <unordered_set>
@@ -29,6 +30,27 @@ double Schedule::scheduled_value(const SchedulingInstance& instance) const {
     }
   }
   return total;
+}
+
+void cover_assigned_slots(const SchedulingInstance& instance,
+                          const CostModel& cost_model, Schedule* schedule) {
+  std::vector<std::vector<int>> required(
+      static_cast<std::size_t>(instance.num_processors()));
+  for (int slot : schedule->assignment) {
+    if (slot < 0) continue;
+    const SlotRef ref = instance.slot_of(slot);
+    required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
+  }
+  schedule->intervals.clear();
+  schedule->energy_cost = 0.0;
+  for (int p = 0; p < instance.num_processors(); ++p) {
+    auto& times = required[static_cast<std::size_t>(p)];
+    std::sort(times.begin(), times.end());
+    double c = 0.0;
+    auto cover = min_cost_cover(p, times, instance.horizon(), cost_model, &c);
+    schedule->energy_cost += c;
+    for (auto& iv : cover) schedule->intervals.push_back(iv);
+  }
 }
 
 ValidationReport validate_schedule(const Schedule& schedule,

@@ -27,6 +27,13 @@ struct Schedule {
   double scheduled_value(const SchedulingInstance& instance) const;
 };
 
+/// Replaces `schedule`'s intervals and energy_cost with the exact
+/// min_cost_cover of the slots its assignment uses, processor by processor
+/// (costs summed in processor order). Never dearer than any other set of
+/// intervals covering those slots.
+void cover_assigned_slots(const SchedulingInstance& instance,
+                          const CostModel& cost_model, Schedule* schedule);
+
 struct ValidationReport {
   bool ok = true;
   std::string message;

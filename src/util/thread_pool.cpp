@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #include "obs/metrics.hpp"
 #include "obs/time.hpp"
@@ -88,16 +89,27 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   // Every participant claims one index at a time from a shared counter, so
   // a few expensive indices never queue up behind one thread.
   std::atomic<std::size_t> next{begin};
-  const auto drain = [&next, &body, end] {
+  std::exception_ptr error;
+  std::mutex error_mutex;
+  const auto drain = [&next, &body, &error, &error_mutex, end] {
     for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < end;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      body(i);
+      try {
+        body(i);
+      } catch (...) {
+        // Keep the first failure and stop further claims; indices already
+        // claimed by other participants still finish.
+        std::lock_guard lock(error_mutex);
+        if (!error) error = std::current_exception();
+        next.store(end, std::memory_order_relaxed);
+      }
     }
   };
   const std::size_t helpers = std::min(workers_.size(), end - begin - 1);
   for (std::size_t h = 0; h < helpers; ++h) submit(drain);
   drain();  // the caller participates
   wait_idle();
+  if (error) std::rethrow_exception(error);
 }
 
 void parallel_for_n(std::size_t n, const std::function<void(std::size_t)>& body,

@@ -20,8 +20,8 @@
 namespace ps::util {
 
 /// Fixed set of worker threads consuming a FIFO task queue.
-/// Tasks must not throw; exceptions escaping a task terminate the program,
-/// which matches this library's no-exceptions-for-control-flow policy.
+/// Tasks passed to submit() must not throw; an exception escaping one
+/// terminates the program. parallel_for bodies may throw (see there).
 class ThreadPool {
  public:
   /// Creates `num_threads` workers. `num_threads == 0` means
@@ -48,7 +48,10 @@ class ThreadPool {
   /// body must be safe to run concurrently and should write only to
   /// index-addressed output for results to be deterministic. The calling
   /// thread participates, so this is safe to use with a pool of size 1 and
-  /// never deadlocks on nested use from the caller's side.
+  /// never deadlocks on nested use from the caller's side. If body throws,
+  /// no further index is claimed, the iterations already running finish,
+  /// and the first exception is rethrown on the caller; the pool stays
+  /// usable.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 

@@ -484,6 +484,41 @@ TEST(Serve, ProtocolFuzzGetsUsageErrorsAndTheServerSurvives) {
   EXPECT_EQ(wire.id, "ok");
 }
 
+TEST(Serve, OverCapExactOptimumIsARuntimeErrorAndTheConnectionSurvives) {
+  ServerFixture fixture;
+  Client client(fixture.port());
+  ASSERT_TRUE(client.valid());
+
+  // Two processors x 16 slots with three 4-slot windows per job: more
+  // useful slots than the brute-force optimum enumerates, so the kernel
+  // throws inside the trial instead of running for minutes.
+  engine::SolveRequest over_cap = generator_request("over-cap");
+  over_cap.params = engine::ParamMap{{"vs_opt", 1.0},      {"processors", 2.0},
+                                     {"horizon", 16.0},    {"jobs", 8.0},
+                                     {"windows", 3.0},     {"window_length", 4.0}};
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.send_line(serve::render_request_line(over_cap)));
+  std::string response;
+  ASSERT_TRUE(client.read_line(response));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  serve::WireResponse wire;
+  std::string error;
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_FALSE(wire.ok);
+  EXPECT_EQ(wire.id, "over-cap");
+  EXPECT_EQ(wire.error, serve::kErrorRuntime);
+  EXPECT_NE(wire.message.find("brute-force cap of 22"), std::string::npos)
+      << wire.message;
+
+  // The next request on the same connection is served normally.
+  ASSERT_TRUE(
+      client.send_line(serve::render_request_line(generator_request("next"))));
+  ASSERT_TRUE(client.read_line(response));
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_TRUE(wire.ok);
+  EXPECT_EQ(wire.id, "next");
+}
+
 TEST(Serve, GracefulDrainAnswersAdmittedRequests) {
   serve::ServeOptions options;
   options.debug_delay_ms = 50;

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -233,6 +234,27 @@ TEST(ThreadPool, ParallelForSpreadsTrailingSlowIndices) {
   const std::set<std::thread::id> slow_threads(ran_on.end() - kSlow,
                                                ran_on.end());
   EXPECT_GE(slow_threads.size(), 2u);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheBodysExceptionOnTheCaller) {
+  ThreadPool pool(3);
+  constexpr std::size_t kN = 200;
+  std::atomic<std::size_t> ran{0};
+  EXPECT_THROW(pool.parallel_for(0, kN,
+                                 [&](std::size_t i) {
+                                   ran.fetch_add(1);
+                                   if (i == 0) throw std::length_error("boom");
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(1));
+                                 }),
+               std::length_error);
+  // Claims stop once the failure is recorded.
+  EXPECT_LT(ran.load(), kN);
+
+  // The pool is intact: the next parallel_for runs every index normally.
+  std::vector<std::atomic<int>> hits(kN);
+  pool.parallel_for(0, kN, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
 TEST(ParallelForN, SerialCutoffStillRuns) {
