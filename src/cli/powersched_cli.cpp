@@ -51,7 +51,7 @@ struct OptionSpec {
   const char* name;        // "--csv"
   const char* value_name;  // "PATH"; nullptr = boolean flag
   const char* help;
-  bool hidden = false;     // legacy alias: parsed, but undocumented
+  bool hidden = false;     // test hook: parsed, but undocumented
 };
 
 struct CommandSpec {
@@ -146,17 +146,7 @@ const std::vector<CommandSpec>& commands() {
          "live stderr progress line (scenarios done/total, trials/s, ETA), "
          "at most one update per second; auto-disabled when stderr is not "
          "a terminal"},
-        PS_OBS_OPTIONS,
-        // Legacy powersched_sweep aliases; the dedicated commands are the
-        // documented surface.
-        {"--merge", "F1,F2,...", "deprecated: use `powersched merge`",
-         /*hidden=*/true},
-        {"--list", nullptr, "deprecated: use `powersched list-solvers`",
-         /*hidden=*/true},
-        {"--list-presets", nullptr,
-         "deprecated: use `powersched list-presets`", /*hidden=*/true},
-        {"--markdown", nullptr, "deprecated: use `powersched list-presets "
-         "--markdown`", /*hidden=*/true}}},
+        PS_OBS_OPTIONS}},
 
       {"merge",
        "assemble per-shard cache files into the full plan's results",
@@ -705,7 +695,7 @@ std::string command_help_text(const CommandSpec& spec) {
   bool any_hidden = false;
   for (const auto& option : spec.options) any_hidden |= option.hidden;
   if (any_hidden) {
-    out += "\nhidden options (compatibility aliases and test hooks):\n";
+    out += "\ntest hooks:\n";
     for (const auto& option : spec.options) {
       if (!option.hidden) continue;
       std::string head = option.name;
@@ -747,10 +737,7 @@ std::string cli_reference_markdown() {
       "One binary is the front door to every experiment: `powersched "
       "<command>`.\nEach command is a thin argv adapter over "
       "`ps::engine::Session` plus a stack\nof `ResultSink`s (see "
-      "[architecture.md](architecture.md)); the legacy binaries\n"
-      "(`powersched_sweep`, `powersched_report`, every `bench_*`) are "
-      "deprecation\nshims over the same implementation and emit "
-      "byte-identical stdout.\n"
+      "[architecture.md](architecture.md)).\n"
       "\n"
       "**Exit codes:** `0` success · `1` runtime failure (the run itself "
       "failed:\nunwritable sink, unreadable cache, merge not covering the "
@@ -1008,25 +995,22 @@ Status build_session_request(const ParsedArgs& args, bool merge_command,
   }
   if (args.has("--no-cache")) config.use_cache = false;
 
-  // Merge inputs: the merge command takes positionals and/or --inputs; the
-  // sweep command keeps the legacy --merge alias.
-  std::vector<std::string> merge_inputs;
-  const char* inputs_flag = merge_command ? "--inputs" : "--merge";
-  for (const auto& list : args.values(inputs_flag)) {
-    for (const auto& file : split_commas(list)) {
-      if (!file.empty()) merge_inputs.push_back(file);
+  // Merge inputs: the merge command takes positionals and/or --inputs.
+  if (merge_command) {
+    for (const auto& list : args.values("--inputs")) {
+      for (const auto& file : split_commas(list)) {
+        if (!file.empty()) config.merge_files.push_back(file);
+      }
+    }
+    for (const auto& file : args.positionals) {
+      config.merge_files.push_back(file);
+    }
+    if (config.merge_files.empty()) {
+      return Status::usage(
+          "merge needs at least one per-shard cache file (positional or "
+          "--inputs F1,F2,...)");
     }
   }
-  for (const auto& file : args.positionals) merge_inputs.push_back(file);
-  if (merge_command && merge_inputs.empty()) {
-    return Status::usage(
-        "merge needs at least one per-shard cache file (positional or "
-        "--inputs F1,F2,...)");
-  }
-  if (!merge_command && args.has("--merge") && merge_inputs.empty()) {
-    return Status::usage("--merge needs at least one cache file");
-  }
-  config.merge_files = std::move(merge_inputs);
 
   if (const std::string* csv = args.value("--csv")) out.csv_path = *csv;
   if (const std::string* report = args.value("--report")) {
@@ -1080,18 +1064,6 @@ int cmd_sweep(const CommandSpec& spec, const std::vector<std::string>& args) {
   ParsedArgs parsed;
   if (Status status = parse_args(spec, args, parsed); !status.ok()) {
     return finish_status(&spec, status);
-  }
-  // Legacy powersched_sweep listing modes. They own stdout completely, so
-  // `--list-presets --markdown > docs/presets.md` keeps working verbatim.
-  // The markdown-consistency check comes first, exactly as the legacy
-  // binary ordered it: `--list --markdown` is a usage error, not a listing.
-  if (parsed.has("--markdown") && !parsed.has("--list-presets")) {
-    return finish_status(
-        &spec, Status::usage("--markdown requires --list-presets"));
-  }
-  if (parsed.has("--list")) return cmd_list_solvers();
-  if (parsed.has("--list-presets")) {
-    return cmd_list_presets(parsed.has("--markdown"));
   }
   SessionRequest request;
   if (Status status = build_session_request(parsed, /*merge_command=*/false,
@@ -1838,26 +1810,6 @@ int run(const std::vector<std::string>& args) {
 int powersched_main(int argc, char** argv) {
   std::vector<std::string> args;
   args.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return run(args);
-}
-
-int legacy_shim_main(const char* command, int argc, char** argv) {
-  std::fprintf(stderr,
-               "%s: deprecated shim — forwarding to `powersched %s` (same "
-               "options, byte-identical stdout)\n",
-               argc > 0 ? argv[0] : "powersched-shim", command);
-  std::vector<std::string> args{command};
-  for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
-  return run(args);
-}
-
-int preset_shim_main(const char* preset, int argc, char** argv) {
-  std::fprintf(stderr,
-               "%s: deprecated shim — forwarding to `powersched sweep "
-               "--preset %s` (extra options forward too)\n",
-               argc > 0 ? argv[0] : "bench-shim", preset);
-  std::vector<std::string> args{"sweep", "--preset", preset};
   for (int i = 1; i < argc; ++i) args.emplace_back(argv[i]);
   return run(args);
 }

@@ -1,11 +1,7 @@
 #include "engine/bench_presets.hpp"
 
 #include <cstdio>
-#include <memory>
 #include <utility>
-
-#include "engine/result_sink.hpp"
-#include "engine/session.hpp"
 
 namespace ps::engine {
 namespace {
@@ -907,53 +903,6 @@ std::string preset_catalogue_markdown() {
     }
   }
   return out;
-}
-
-bool run_bench_preset(const BenchPreset& preset,
-                      const PresetRunOptions& options) {
-  // Compatibility wrapper over the Session API: one RunConfig plus the
-  // default sink stack (tables, then the cache file, then the CSV — the
-  // flush order the legacy runner used). New code should build a Session
-  // directly; this entry point exists so the pre-redesign call sites and
-  // their tests keep running through the exact same implementation.
-  RunConfig config;
-  config.preset = preset.name;
-  config.trials = options.trials;
-  config.seed = options.seed;
-  config.seed_given = options.seed_given;
-  config.num_threads = options.num_threads;
-  config.timing = options.timing;
-  config.tails = options.tails;
-  config.use_cache = options.use_cache;
-  config.shard_index = options.shard_index;
-  config.shard_count = options.shard_count;
-  config.cache_file = options.cache_file;
-  config.merge_files = options.merge_files;
-
-  Session session(std::move(config));
-  session.add_sink(std::make_unique<TableSink>());
-  if (!options.cache_file.empty()) {
-    session.add_sink(std::make_unique<CacheFileSink>());
-  }
-  if (!options.csv_path.empty()) {
-    session.add_sink(std::make_unique<CsvSink>(options.csv_path));
-  }
-  const Status status = session.run();
-  if (!status.ok()) {
-    std::fprintf(stderr, "preset %s: %s\n", preset.name.c_str(),
-                 status.message().c_str());
-  }
-  return status.ok();
-}
-
-int run_preset_main(const std::string& name) {
-  const BenchPreset* preset = find_bench_preset(name);
-  if (preset == nullptr) {
-    std::fprintf(stderr, "unknown preset '%s' (available: %s)\n",
-                 name.c_str(), preset_names_joined().c_str());
-    return 2;
-  }
-  return run_bench_preset(*preset) ? 0 : 1;
 }
 
 }  // namespace ps::engine

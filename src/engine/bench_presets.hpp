@@ -1,16 +1,12 @@
-// The bench preset catalogue: every experiment in bench/ as a declarative
-// (name, sweep plans, pass criterion) bundle runnable from the unified CLI
-// (`powersched sweep --preset e13`) or from the bench binaries, which are
-// deprecation shims over that command. This is what replaced the per-bench
-// bespoke driver loops: one registered solver adapter per algorithm, one
-// SweepPlan per table, and the engine does the seeding, threading, caching,
-// aggregation, and emission uniformly — driven through ps::engine::Session
-// (see session.hpp), for which run_bench_preset below is a compatibility
-// wrapper.
+// The bench preset catalogue: every experiment of the paper as a
+// declarative (name, sweep plans, pass criterion) bundle, run with
+// `powersched sweep --preset e13`. One registered solver adapter per
+// algorithm, one SweepPlan per table, and the engine does the seeding,
+// threading, caching, aggregation, and emission uniformly — driven through
+// ps::engine::Session (see session.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -100,66 +96,9 @@ std::string preset_names_joined();
 
 /// The full catalogue rendered as a Markdown reference — name, title, pass
 /// criterion, and per-sweep solvers/axes/trials/seed/plot hints. This is
-/// what `powersched_sweep --list-presets --markdown` prints and what
+/// what `powersched list-presets --markdown` prints and what
 /// docs/presets.md is generated from (CI fails on drift), so the document
 /// can never fall behind the code.
 std::string preset_catalogue_markdown();
-
-struct PresetRunOptions {
-  /// Trials per scenario; 0 keeps each sweep's own default.
-  int trials = 0;
-  /// Base seed, applied only when `seed_given` is set (so seed 0 is usable).
-  std::uint64_t seed = 0;
-  bool seed_given = false;
-  /// Worker threads; -1 keeps the preset default (0 = hardware).
-  int num_threads = -1;
-  /// When non-empty, all sweeps' aggregated rows are written to this one
-  /// CSV (union of parameter and metric columns).
-  std::string csv_path;
-  /// Force wall-time columns on even for non-timing presets.
-  bool timing = false;
-  /// Retain per-trial samples (`--tails`): percentile columns in tables/CSV
-  /// and sample-carrying (v2) cache entries. See RunConfig::tails.
-  bool tails = false;
-  /// Serve repeated scenarios from the process-wide scenario cache.
-  bool use_cache = true;
-  /// Shard selection over the preset's scenario grid — the concatenation of
-  /// every sweep's expansion, indexed globally, round-robin partitioned (see
-  /// shard_scenarios). shard_count == 1 runs everything; otherwise only the
-  /// scenarios owned by shard_index run, and tables/CSV contain only those
-  /// rows. The shard/merge unit is the scenario cache key, so per-shard
-  /// cache files merge back into the exact unsharded output.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-  /// When non-empty, a persistent scenario cache: loaded (if present)
-  /// before the run — previously computed scenarios are not re-run — and
-  /// saved (write-to-temp + rename) after. Implies caching into a
-  /// file-scoped cache rather than the process-wide one.
-  std::string cache_file;
-  /// When non-empty, merge mode (`powersched_sweep --merge`): no trials are
-  /// run at all; the listed per-shard cache files are loaded and the full
-  /// plan is assembled from them via merge_scenario_results, producing the
-  /// byte-identical tables/CSV a single unsharded process would have
-  /// emitted. Fails when the files do not cover the plan. Combine with
-  /// cache_file to also persist the merged union.
-  std::vector<std::string> merge_files;
-};
-
-/// Runs every sweep of `preset`, printing one table per sweep and the pass
-/// criterion. Returns false when a results file (CSV or cache) could not be
-/// written, when merge inputs are missing or do not cover the plan, or when
-/// the shard selection is invalid.
-///
-/// Compatibility wrapper: this is a Session with the default sink stack
-/// (TableSink, then CacheFileSink/CsvSink as the options ask). New code
-/// should build a ps::engine::Session directly (session.hpp) — the options
-/// struct maps 1:1 onto RunConfig and the Status carries the reason.
-bool run_bench_preset(const BenchPreset& preset,
-                      const PresetRunOptions& options = {});
-
-/// Runs the named preset with its defaults; returns a process exit code
-/// (2 = unknown preset, 1 = runtime failure, 0 = success). The bench
-/// binaries now shim into the `powersched` CLI instead; kept for embedders.
-int run_preset_main(const std::string& name);
 
 }  // namespace ps::engine

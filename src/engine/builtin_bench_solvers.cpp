@@ -120,6 +120,7 @@
 #include "matching/hopcroft_karp.hpp"
 #include "matching/matching_oracle.hpp"
 #include "matroid/matroid.hpp"
+#include "obs/time.hpp"
 #include "scheduling/baselines.hpp"
 #include "scheduling/budget_scheduler.hpp"
 #include "scheduling/cost_model.hpp"
@@ -139,7 +140,6 @@
 #include "submodular/facility_location.hpp"
 #include "submodular/greedy.hpp"
 #include "submodular/hidden_good_set.hpp"
-#include "util/timer.hpp"
 
 namespace ps::engine {
 namespace {
@@ -185,10 +185,10 @@ void register_ablation(SolverRegistry& registry) {
     core::BudgetedMaximizationOptions lazy_opt = plain_opt;
     lazy_opt.lazy = true;
 
-    util::Timer t1;
+    obs::StopWatch t1;
     const auto plain = core::maximize_with_budget(f, candidates, x, plain_opt);
     const double plain_ms = t1.milliseconds();
-    util::Timer t2;
+    obs::StopWatch t2;
     const auto lazy = core::maximize_with_budget(f, candidates, x, lazy_opt);
     const double lazy_ms = t2.milliseconds();
 
@@ -230,11 +230,11 @@ void register_ablation(SolverRegistry& registry) {
     scheduling::PowerSchedulerOptions slow = fast;
     slow.use_incremental_oracle = false;
 
-    util::Timer t1;
+    obs::StopWatch t1;
     const auto incremental = scheduling::schedule_all_jobs(instance, model,
                                                            fast);
     const double fast_ms = t1.milliseconds();
-    util::Timer t2;
+    obs::StopWatch t2;
     const auto stateless = scheduling::schedule_all_jobs(instance, model,
                                                          slow);
     const double slow_ms = t2.milliseconds();
@@ -279,7 +279,7 @@ void register_ablation(SolverRegistry& registry) {
     options.epsilon = 1.0 / (gen.num_jobs + 1.0);
 
     scheduling::MatchingOracleUtility utility(graph);
-    util::Timer timer;
+    obs::StopWatch timer;
     const auto result = core::maximize_with_budget(utility, pool.candidates,
                                                    gen.num_jobs, options);
     const double ms = timer.milliseconds();
@@ -332,7 +332,7 @@ void register_ablation(SolverRegistry& registry) {
       scheduling::MatchingOracleUtility utility(graph);
       core::BudgetedMaximizationOptions options;
       options.epsilon = 1.0 / (instance.num_jobs() + 1.0);
-      util::Timer timer;
+      obs::StopWatch timer;
       const auto result = core::maximize_with_budget(
           utility, pool.candidates, instance.num_jobs(), options);
       return std::make_pair(result.cost, timer.milliseconds());

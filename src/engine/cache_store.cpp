@@ -20,7 +20,6 @@
 namespace ps::engine {
 
 const char kScenarioCacheFormatHeader[] = "powersched-scenario-cache v2";
-const char kScenarioCacheFormatHeaderV1[] = "powersched-scenario-cache v1";
 
 namespace {
 
@@ -154,22 +153,17 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
 
   std::string line;
   std::size_t line_no = 1;
-  int version = 0;
   if (!std::getline(in, line)) {
     return load_error(path_, line_no, "not a powersched scenario cache file");
   }
-  if (line == kScenarioCacheFormatHeader) {
-    version = 2;
-  } else if (line == kScenarioCacheFormatHeaderV1) {
-    version = 1;
-  } else if (line.rfind("powersched-scenario-cache", 0) == 0) {
-    return load_error(path_, line_no,
-                      "version mismatch: file is '" + line +
-                          "', this build reads '" +
-                          std::string(kScenarioCacheFormatHeaderV1) +
-                          "' or '" + kScenarioCacheFormatHeader +
-                          "' — regenerate the cache file");
-  } else {
+  if (line != kScenarioCacheFormatHeader) {
+    if (line.rfind("powersched-scenario-cache", 0) == 0) {
+      return load_error(path_, line_no,
+                        "version mismatch: file is '" + line +
+                            "', this build reads '" +
+                            kScenarioCacheFormatHeader +
+                            "' — regenerate the cache file");
+    }
     return load_error(path_, line_no, "not a powersched scenario cache file");
   }
 
@@ -237,21 +231,18 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
           !parse_size(fields, result.infeasible)) {
         return load_error(path_, line_no, "bad aggregate line");
       }
-      if (version >= 2) {
-        // v2 requires the 0/1 samples flag as a third field — a v2 header
-        // over a v1 body fails here rather than loading half-understood.
-        std::size_t flag = 0;
-        std::string extra;
-        if (!parse_size(fields, flag) || flag > 1 || (fields >> extra)) {
-          return load_error(path_, line_no,
-                            "bad aggregate line: v2 requires "
-                            "'aggregate <trials> <infeasible> <0|1>'");
-        }
-        samples_flag = static_cast<int>(flag);
+      // The 0/1 samples flag is a required third field — a v2 header over
+      // a body without it fails here rather than loading half-understood.
+      std::size_t flag = 0;
+      std::string extra;
+      if (!parse_size(fields, flag) || flag > 1 || (fields >> extra)) {
+        return load_error(path_, line_no,
+                          "bad aggregate line: v2 requires "
+                          "'aggregate <trials> <infeasible> <0|1>'");
       }
+      samples_flag = static_cast<int>(flag);
       aggregate_seen = true;
-    } else if (version >= 2 &&
-               (keyword == "samples" || keyword == "metric_samples")) {
+    } else if (keyword == "samples" || keyword == "metric_samples") {
       if (samples_flag != 1) {
         return load_error(path_, line_no,
                           "'" + keyword +

@@ -14,13 +14,13 @@
 // rename into place, so concurrent writers cannot interleave and readers
 // never observe a torn file.
 //
-// v2 (the current write format) extends v1 with optional retained samples:
-// the aggregate line gains a 0/1 samples flag, and flagged entries carry one
-// `samples <name> <count> <v...>` block per sample-bearing core accumulator
-// (objective/ratio/cost/oracle_calls — never wall_ms) plus one
+// v2 (the only format read or written) carries optional retained samples:
+// the aggregate line ends in a 0/1 samples flag, and flagged entries carry
+// one `samples <name> <count> <v...>` block per sample-bearing core
+// accumulator (objective/ratio/cost/oracle_calls — never wall_ms) plus one
 // `metric_samples <name> <count> <v...>` block per metric, each listing the
-// retained per-trial readings in ascending (stable-sorted) order. v1 files
-// still load — their entries simply come back streaming-only. A block may
+// retained per-trial readings in ascending (stable-sorted) order. Older
+// headers fail the load with a "regenerate the cache file" error. A block may
 // retain fewer readings than the accumulator counted (a `--tails-cap`
 // reservoir keeps a bounded subset); sample blocks retaining MORE than the
 // accumulator counted, truncated blocks, or malformed values fail the load
@@ -34,15 +34,10 @@
 
 namespace ps::engine {
 
-/// The exact first line of every cache file this build writes (v2). Bump
-/// the version when the entry schema changes incompatibly; unknown versions
-/// are rejected with a message naming both versions.
+/// The exact first line of every cache file this build reads and writes
+/// (v2). Bump the version when the entry schema changes incompatibly; any
+/// other version is rejected with a message naming both versions.
 extern const char kScenarioCacheFormatHeader[];
-
-/// The v1 header. v1 files (no sample retention) still load — forward
-/// compatibility for caches written before the tails work — but every save
-/// writes the current format.
-extern const char kScenarioCacheFormatHeaderV1[];
 
 /// Load/save/merge of ScenarioCache contents for one file path.
 class ScenarioCacheStore {

@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <ostream>
+#include <iostream>
 
 #include "engine/cache_store.hpp"
 #include "report/csv_table.hpp"
@@ -95,21 +95,14 @@ bool tail_stat_value(const ScenarioResult& result, const std::string& column,
 
 }  // namespace
 
+TableSink::TableSink() : TableSink(std::cout) {}
+
 Status TableSink::consume(const SweepBatch& batch) {
   // Tables after the first are separated by one blank line — the exact
   // spacing the legacy preset runner produced.
   const std::string caption =
       (batch.first ? std::string() : std::string("\n")) + batch.caption;
-  const util::Table table =
-      results_table(*batch.results, caption, batch.timing);
-  if (stream_ != nullptr) {
-    table.print(*stream_);
-    return Status();
-  }
-  if (!table.print()) {
-    return Status::runtime("FAILED to write one or more PS_CSV_DIR table "
-                           "CSVs");
-  }
+  results_table(*batch.results, caption, batch.timing).print(stream_);
   return Status();
 }
 
@@ -164,13 +157,7 @@ Status TableSink::finish(const SinkContext& context) {
     }
   }
 
-  if (!out.empty()) {
-    if (stream_ != nullptr) {
-      *stream_ << out;
-    } else {
-      std::fputs(out.c_str(), stdout);
-    }
-  }
+  stream_ << out;
   if (failed > 0) {
     return Status::runtime(std::to_string(failed) +
                            " tail pass check(s) failed");

@@ -1,15 +1,12 @@
-// ResultSink — where a Session's aggregated results go. The sweep engine
-// used to hardwire its emission (fixed-width tables to stdout, one CSV
-// file, a cache save) into run_bench_preset and the tool mains; sinks turn
-// each destination into a composable object: a run carries any set of
-// sinks, each sees every sweep's results as they complete (consume) and
-// flushes once at the end (finish), and every failure is a loud ps::Status
-// instead of a bool the caller had to translate into an exit code.
+// ResultSink — where a Session's aggregated results go. Each destination
+// (fixed-width tables on stdout, one CSV file, a cache save, a figure
+// report) is a composable object: a run carries any set of sinks, each
+// sees every sweep's results as they complete (consume) and flushes once
+// at the end (finish), and every failure is a loud ps::Status instead of a
+// bool the caller had to translate into an exit code.
 //
-// The built-ins reproduce the legacy emission byte-for-byte:
-//   TableSink      — fixed-width tables (+ PS_CSV_DIR side CSVs) and the
-//                    preset's PASS criterion, exactly as run_bench_preset
-//                    printed them
+// The built-ins:
+//   TableSink      — fixed-width tables and the preset's PASS criterion
 //   CsvSink        — the aggregated union-of-columns CSV of the whole run
 //   CacheFileSink  — persists the session's file-scoped scenario cache
 //                    (write-to-temp + rename)
@@ -77,9 +74,8 @@ struct SinkContext {
 /// Error contract: a failed prepare() or finish() aborts the run with that
 /// Status. A failed consume() is *deferred* — the Session keeps running
 /// remaining sweeps and sinks and reports the first such failure only after
-/// every finish() succeeded — so a side-output failure (e.g. a PS_CSV_DIR
-/// table dump) cannot discard the primary CSV/cache outputs, yet still
-/// fails the run loudly. This mirrors the legacy tools' behaviour exactly.
+/// every finish() succeeded — so a side-output failure cannot discard the
+/// primary CSV/cache outputs, yet still fails the run loudly.
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
@@ -106,20 +102,18 @@ Status ensure_parent_directory(const std::string& file_path);
 Status ensure_directory(const std::string& dir_path);
 
 /// Fixed-width result tables, one per sweep, plus the preset's PASS
-/// criterion — the human-facing output every experiment binary prints. By
-/// default writes to stdout with the PS_CSV_DIR side-CSV contract of
-/// util::Table::print() (a failed side CSV is a deferred consume error); a
-/// test can redirect into any std::ostream instead (no side CSVs there).
+/// criterion — the human-facing output of `powersched sweep`. Writes to
+/// stdout by default; a test can redirect into any std::ostream.
 class TableSink : public ResultSink {
  public:
-  TableSink() = default;
-  explicit TableSink(std::ostream& stream) : stream_(&stream) {}
+  TableSink();
+  explicit TableSink(std::ostream& stream) : stream_(stream) {}
 
   Status consume(const SweepBatch& batch) override;
   Status finish(const SinkContext& context) override;
 
  private:
-  std::ostream* stream_ = nullptr;  // nullptr = stdout + PS_CSV_DIR
+  std::ostream& stream_;
 };
 
 /// The aggregated union-of-columns CSV of the whole run, written at

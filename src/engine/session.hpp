@@ -3,10 +3,9 @@
 // resolution, shard selection, the scenario + reference caches and their
 // on-disk persistence, and the thread pool options — configured by one
 // declarative RunConfig. Embedders and tools call run() with a set of
-// ResultSinks instead of re-implementing the 400 lines of cache wiring,
-// shard parsing, and emission plumbing the legacy tool mains duplicated;
-// the bench wrappers, powersched_sweep/powersched_report shims, and the
-// unified `powersched` CLI are all thin layers over exactly this class.
+// ResultSinks instead of re-implementing cache wiring, shard parsing, and
+// emission plumbing; the `powersched` CLI is a thin layer over exactly
+// this class.
 //
 //   RunConfig config;
 //   config.preset = "e15";

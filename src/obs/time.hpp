@@ -2,8 +2,7 @@
 // clock read in the engine (trial wall times, phase spans, bench reps,
 // thread-pool busy/idle accounting) goes through these, so "what clock do
 // we time with" has exactly one answer: std::chrono::steady_clock,
-// nanosecond resolution. util/timer.hpp is a deprecation alias over
-// StopWatch for the includes that predate src/obs/.
+// nanosecond resolution.
 #pragma once
 
 #include <chrono>
@@ -39,7 +38,7 @@ inline std::uint64_t thread_cpu_ns() {
 }
 
 /// Stopwatch measuring monotonic wall time since construction or the last
-/// reset(). Supersedes util::Timer (which is now an alias of this).
+/// reset().
 class StopWatch {
  public:
   StopWatch() : start_ns_(now_ns()) {}

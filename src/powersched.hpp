@@ -69,4 +69,3 @@
 #include "util/status.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"

@@ -149,9 +149,9 @@ bool build_preset_report(const BenchPreset& preset, const CsvTable& table,
   std::string md;
   md += "# `" + preset.name + "` — " + preset.title + "\n\n";
   md += "<!-- GENERATED FILE — do not edit by hand. Regenerate with\n"
-        "       powersched_sweep --preset " + preset.name +
+        "       powersched sweep --preset " + preset.name +
         " --csv " + preset.name + ".csv && \\\n"
-        "       powersched_report --preset " + preset.name +
+        "       powersched report --preset " + preset.name +
         " --csv " + preset.name + ".csv --out <dir>\n"
         "     Figures and tables are a pure function of the CSV bytes. -->\n\n";
   if (!preset.pass_criterion.empty()) {

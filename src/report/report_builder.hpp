@@ -16,8 +16,8 @@ namespace ps::report {
 /// Writes `<out_dir>/<preset>.md` plus `<out_dir>/<preset>-sweep<K>.svg`
 /// (K = 1-based sweep index) from `table`, which must be the preset's own
 /// aggregated CSV — every scenario of every sweep present as a row (the
-/// file `powersched_sweep --preset NAME --csv ...` or `--merge ... --csv`
-/// writes). Returns false after a stderr diagnostic when the CSV does not
+/// file `powersched sweep --preset NAME --csv ...` or `powersched merge
+/// ... --csv` writes). Returns false after a stderr diagnostic when the CSV does not
 /// cover the preset's plan (e.g. a lone shard CSV), a hinted column is
 /// missing, a figure exceeds the series budget, or a file cannot be
 /// written. `out_dir` is created if absent.

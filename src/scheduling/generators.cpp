@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 namespace ps::scheduling {
 namespace {
@@ -47,7 +49,20 @@ SchedulingInstance random_instance(const RandomInstanceParams& params,
 
 SchedulingInstance random_feasible_instance(const RandomInstanceParams& params,
                                             util::Rng& rng) {
-  assert(params.num_jobs <= params.num_processors * params.horizon);
+  // Request parameters reach this from the CLI and the serve daemon, so a
+  // bad shape throws (a runtime error at those boundaries) rather than
+  // asserting: planting needs one distinct slot per job.
+  if (params.num_processors <= 0 || params.horizon <= 0 ||
+      params.num_jobs < 0 ||
+      static_cast<long long>(params.num_jobs) >
+          static_cast<long long>(params.num_processors) * params.horizon) {
+    throw std::invalid_argument(
+        "random_feasible_instance: need processors > 0, horizon > 0 and 0 "
+        "<= jobs <= processors*horizon (one distinct slot per job); got "
+        "jobs=" + std::to_string(params.num_jobs) +
+        ", processors=" + std::to_string(params.num_processors) +
+        ", horizon=" + std::to_string(params.horizon));
+  }
   // Plant distinct slots, one per job, then grow windows around them.
   const auto planted = rng.sample_without_replacement(
       params.num_processors * params.horizon, params.num_jobs);

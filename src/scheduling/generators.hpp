@@ -34,6 +34,8 @@ SchedulingInstance random_instance(const RandomInstanceParams& params,
 
 /// Random instance that is guaranteed schedulable: first plants a feasible
 /// assignment (distinct slots), then adds windows around the planted slots.
+/// Throws std::invalid_argument unless processors > 0, horizon > 0 and
+/// 0 <= jobs <= processors * horizon.
 SchedulingInstance random_feasible_instance(const RandomInstanceParams& params,
                                             util::Rng& rng);
 

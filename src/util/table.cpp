@@ -1,13 +1,9 @@
 #include "util/table.hpp"
 
 #include <cassert>
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
-
-#include "util/csv.hpp"
 
 namespace ps::util {
 
@@ -64,41 +60,6 @@ std::string Table::to_string() const {
 
 void Table::print(std::ostream& os) const { os << to_string(); }
 
-bool Table::print() const {
-  print(std::cout);
-  if (const char* dir = std::getenv("PS_CSV_DIR")) {
-    const std::string slug =
-        slugify(caption_.empty() ? "table" : caption_);
-    return write_csv(std::string(dir) + "/" + slug + ".csv");
-  }
-  return true;
-}
-
-bool Table::write_csv(const std::string& path) const {
-  CsvWriter writer(path, header_);
-  for (const auto& row : rows_) writer.write_row(row);
-  if (!writer.flush()) {
-    std::fprintf(stderr, "table: FAILED to write CSV '%s'\n",
-                 writer.path().c_str());
-    return false;
-  }
-  return true;
-}
-
-std::string Table::slugify(const std::string& text) {
-  std::string slug;
-  bool pending_dash = false;
-  for (char ch : text) {
-    if (std::isalnum(static_cast<unsigned char>(ch))) {
-      if (pending_dash && !slug.empty()) slug += '-';
-      pending_dash = false;
-      slug += static_cast<char>(std::tolower(static_cast<unsigned char>(ch)));
-    } else {
-      pending_dash = true;
-    }
-    if (slug.size() >= 72) break;  // keep filenames sane
-  }
-  return slug.empty() ? "table" : slug;
-}
+void Table::print() const { print(std::cout); }
 
 }  // namespace ps::util

@@ -31,22 +31,8 @@ class Table {
   /// Renders the whole table.
   std::string to_string() const;
   void print(std::ostream& os) const;
-  /// Prints to stdout. If the PS_CSV_DIR environment variable is set, also
-  /// writes the table as CSV to "$PS_CSV_DIR/<slug-of-caption>.csv" so every
-  /// experiment run can dump machine-readable series for plotting without
-  /// touching the benchmark sources. Returns false when that side CSV was
-  /// requested but could not be written (true when no PS_CSV_DIR is set) —
-  /// result binaries must propagate it into a nonzero exit instead of
-  /// reporting success over a missing file.
-  bool print() const;
-
-  /// Writes the table as CSV (header + rows) to `path`. Returns false —
-  /// after a loud diagnostic naming the path on stderr — when the file
-  /// cannot be opened or written.
-  bool write_csv(const std::string& path) const;
-
-  /// "E1: approximation ratio vs n" -> "e1-approximation-ratio-vs-n".
-  static std::string slugify(const std::string& text);
+  /// Prints to stdout.
+  void print() const;
 
  private:
   std::string caption_;

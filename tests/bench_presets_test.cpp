@@ -6,11 +6,14 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 
 #include "engine/bench_presets.hpp"
 #include "engine/registry.hpp"
+#include "engine/result_sink.hpp"
+#include "engine/session.hpp"
 #include "engine/sweep_runner.hpp"
 
 namespace ps::engine {
@@ -73,16 +76,21 @@ TEST(BenchPresets, PresetRunsEndToEndToCsvAndSecondRunHitsCache) {
   const BenchPreset* preset = find_bench_preset("e15");
   ASSERT_NE(preset, nullptr);
   const std::string path = ::testing::TempDir() + "preset_e15.csv";
-  PresetRunOptions options;
-  options.trials = 1;
-  options.csv_path = path;
+  const auto run_e15 = [&path] {
+    RunConfig config;
+    config.preset = "e15";
+    config.trials = 1;
+    Session session(std::move(config));
+    session.add_sink(std::make_unique<CsvSink>(path));
+    return session.run();
+  };
 
   const auto before = ScenarioCache::global().stats();
-  ASSERT_TRUE(run_bench_preset(*preset, options));
+  ASSERT_TRUE(run_e15().ok());
   const auto after_first = ScenarioCache::global().stats();
   // Second invocation with identical parameters: every scenario is served
   // from the scenario cache.
-  ASSERT_TRUE(run_bench_preset(*preset, options));
+  ASSERT_TRUE(run_e15().ok());
   const auto after_second = ScenarioCache::global().stats();
   std::size_t scenarios = 0;
   for (const auto& sweep : preset->sweeps) {

@@ -8,9 +8,9 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -19,7 +19,9 @@
 #include "engine/bench_presets.hpp"
 #include "engine/cache_store.hpp"
 #include "engine/registry.hpp"
+#include "engine/result_sink.hpp"
 #include "engine/scenario.hpp"
+#include "engine/session.hpp"
 #include "engine/sweep_runner.hpp"
 
 namespace ps::engine {
@@ -297,42 +299,6 @@ TEST(ShardMerge, MergedAggregatesBitIdenticalToUnshardedForManyShardCounts) {
   std::remove(csv_ref.c_str());
 }
 
-TEST(ShardMerge, PresetShardRunsMergeToByteIdenticalCsv) {
-  // The CI matrix contract end-to-end through run_bench_preset: 3 sharded
-  // "processes" with --cache-file, then a merge, against the unsharded run.
-  const BenchPreset* preset = find_bench_preset("e15");
-  ASSERT_NE(preset, nullptr);
-
-  PresetRunOptions reference;
-  reference.trials = 1;
-  reference.use_cache = false;
-  reference.csv_path = temp_path("preset_ref.csv");
-  ASSERT_TRUE(run_bench_preset(*preset, reference));
-
-  std::vector<std::string> files;
-  for (std::size_t index = 0; index < 3; ++index) {
-    PresetRunOptions shard;
-    shard.trials = 1;
-    shard.shard_index = index;
-    shard.shard_count = 3;
-    shard.cache_file =
-        temp_path("preset_shard" + std::to_string(index) + ".cache");
-    ASSERT_TRUE(run_bench_preset(*preset, shard));
-    files.push_back(shard.cache_file);
-  }
-
-  PresetRunOptions merge;
-  merge.trials = 1;
-  merge.merge_files = files;
-  merge.csv_path = temp_path("preset_merged.csv");
-  ASSERT_TRUE(run_bench_preset(*preset, merge));
-
-  EXPECT_EQ(read_file(merge.csv_path), read_file(reference.csv_path));
-  std::remove(reference.csv_path.c_str());
-  std::remove(merge.csv_path.c_str());
-  for (const auto& file : files) std::remove(file.c_str());
-}
-
 TEST(ShardMerge, MergeFailsWhenAShardIsMissing) {
   const SolverRegistry registry = SolverRegistry::with_builtins();
   const SweepPlan plan = cheap_plan();
@@ -350,20 +316,6 @@ TEST(ShardMerge, MergeFailsWhenAShardIsMissing) {
   ScenarioCache other;
   EXPECT_FALSE(ScenarioCacheStore::merge_into(
       {temp_path("no_such_shard.cache")}, other));
-}
-
-TEST(ShardMerge, RunBenchPresetRejectsBadShardAndShardedMerge) {
-  const BenchPreset* preset = find_bench_preset("e15");
-  ASSERT_NE(preset, nullptr);
-  PresetRunOptions bad_shard;
-  bad_shard.shard_index = 3;
-  bad_shard.shard_count = 3;
-  EXPECT_FALSE(run_bench_preset(*preset, bad_shard));
-
-  PresetRunOptions sharded_merge;
-  sharded_merge.shard_count = 2;
-  sharded_merge.merge_files = {"whatever.cache"};
-  EXPECT_FALSE(run_bench_preset(*preset, sharded_merge));
 }
 
 // --- unwritable output paths exit loudly ----------------------------------
@@ -403,26 +355,33 @@ TEST(UnwritableCsv, WriteResultsCsvReturnsFalse) {
   }
 }
 
-TEST(UnwritableCsv, RunBenchPresetFailsOnUnwritableCsvAndCache) {
-  const BenchPreset* preset = find_bench_preset("e15");
-  ASSERT_NE(preset, nullptr);
+TEST(UnwritableCsv, SessionFailsOnUnwritableCsvAndCache) {
   const UnwritableDir unwritable;
+  // One-trial e15 through a Session; a CacheFileSink joins when the config
+  // names a cache file, a CsvSink when `csv_path` is set.
+  const auto run_e15 = [](const std::string& cache_file,
+                          const std::string& csv_path) {
+    RunConfig config;
+    config.preset = "e15";
+    config.trials = 1;
+    config.cache_file = cache_file;
+    Session session(std::move(config));
+    if (!cache_file.empty()) {
+      session.add_sink(std::make_unique<CacheFileSink>());
+    }
+    if (!csv_path.empty()) {
+      session.add_sink(std::make_unique<CsvSink>(csv_path));
+    }
+    return session.run();
+  };
 
-  PresetRunOptions bad_csv;
-  bad_csv.trials = 1;
-  bad_csv.csv_path = unwritable.enotdir_path();
-  EXPECT_FALSE(run_bench_preset(*preset, bad_csv));
-
-  PresetRunOptions bad_cache;
-  bad_cache.trials = 1;
-  bad_cache.cache_file = unwritable.enotdir_path();
-  EXPECT_FALSE(run_bench_preset(*preset, bad_cache));
-
+  EXPECT_EQ(run_e15("", unwritable.enotdir_path()).code(),
+            Status::Code::kRuntime);
+  EXPECT_EQ(run_e15(unwritable.enotdir_path(), "").code(),
+            Status::Code::kRuntime);
   if (::geteuid() != 0) {
-    PresetRunOptions readonly_csv;
-    readonly_csv.trials = 1;
-    readonly_csv.csv_path = unwritable.readonly_path();
-    EXPECT_FALSE(run_bench_preset(*preset, readonly_csv));
+    EXPECT_EQ(run_e15("", unwritable.readonly_path()).code(),
+              Status::Code::kRuntime);
   }
 }
 
@@ -433,18 +392,6 @@ TEST(UnwritableCsv, CacheStoreSaveReturnsFalse) {
   if (::geteuid() != 0) {
     EXPECT_FALSE(ScenarioCacheStore(unwritable.readonly_path()).save(cache));
   }
-}
-
-TEST(UnwritableCsv, TablePrintPropagatesSideCsvFailure) {
-  const SolverRegistry registry = SolverRegistry::with_builtins();
-  const auto results = SweepRunner().run(registry, cheap_plan());
-  const auto table = results_table(results, "side csv failure");
-
-  const UnwritableDir unwritable;
-  ::setenv("PS_CSV_DIR", unwritable.enotdir_path().c_str(), 1);
-  EXPECT_FALSE(table.print());
-  ::unsetenv("PS_CSV_DIR");
-  EXPECT_TRUE(table.print());
 }
 
 // --- cache-store v2: retained samples, fail-closed loads ------------------
@@ -523,45 +470,25 @@ TEST(CacheStoreV2, SavedThenLoadedThenSavedFileIsByteIdentical) {
   std::remove(resaved.c_str());
 }
 
-TEST(CacheStoreV2, V1FilesStillLoadAsStreamingOnly) {
-  const SolverRegistry registry = SolverRegistry::with_builtins();
-  ScenarioCache cache;
-  SweepOptions options;
-  options.use_cache = true;
-  options.cache = &cache;
-  SweepRunner(options).run(registry, cheap_plan());
-  const std::string path = temp_path("v1_compat.cache");
-  ASSERT_TRUE(ScenarioCacheStore(path).save(cache));
-
-  // Downgrade the file to genuine v1: v1 header, two-field aggregate lines.
-  std::string text = read_file(path);
-  const std::string v2_header = kScenarioCacheFormatHeader;
-  ASSERT_EQ(text.compare(0, v2_header.size(), v2_header), 0);
-  text.replace(0, v2_header.size(), kScenarioCacheFormatHeaderV1);
-  std::string downgraded;
-  std::istringstream lines(text);
-  for (std::string line; std::getline(lines, line);) {
-    if (line.rfind("aggregate ", 0) == 0) {
-      ASSERT_EQ(line.substr(line.size() - 2), " 0");
-      line.resize(line.size() - 2);
-    }
-    downgraded += line;
-    downgraded += '\n';
-  }
+TEST(CacheStoreV2, V1HeaderFailsClosed) {
+  // A genuine v1 file: v1 header, two-field aggregate line. This build
+  // reads only v2 and must refuse it with the regenerate message.
+  const std::string path = temp_path("v1_header.cache");
   {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << downgraded;
+    std::ofstream out(path, std::ios::binary);
+    out << "powersched-scenario-cache v1\n"
+        << "scenario powerdown.never\ntrials 1\nseed 1\naggregate 1 0\n"
+        << "end\n";
   }
-
-  ScenarioCache loaded;
-  ASSERT_TRUE(ScenarioCacheStore(path).load(loaded));
-  ASSERT_EQ(loaded.size(), cache.size());
-  for (const auto& [key, result] : cache.snapshot()) {
-    const auto entry = loaded.peek(key);
-    ASSERT_NE(entry, nullptr) << key;
-    expect_results_bit_identical(*entry, *result);
-    EXPECT_FALSE(entry->objective.samples_kept());
-  }
+  ScenarioCache cache;
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(ScenarioCacheStore(path).load(cache));
+  const std::string diagnostic = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(diagnostic.find("version mismatch"), std::string::npos)
+      << diagnostic;
+  EXPECT_NE(diagnostic.find("regenerate the cache file"), std::string::npos)
+      << diagnostic;
+  EXPECT_EQ(cache.size(), 0u);
   std::remove(path.c_str());
 }
 

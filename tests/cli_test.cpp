@@ -50,10 +50,12 @@ TEST(Cli, SweepUsageErrors) {
   EXPECT_EQ(run_cli({"sweep", "--preset", "e15", "--trials", "0"}), 2);
   EXPECT_EQ(run_cli({"sweep", "--preset", "e15", "--seed", "1x"}), 2);
   EXPECT_EQ(run_cli({"sweep", "--preset", "e15", "--threads", "-1"}), 2);
-  // --markdown is a list-presets modifier — even alongside --list, exactly
-  // as the legacy powersched_sweep ordered its checks.
+  // The listing and merge modes are their own commands (list-presets,
+  // list-solvers, merge); sweep does not accept them as flags.
   EXPECT_EQ(run_cli({"sweep", "--preset", "e15", "--markdown"}), 2);
-  EXPECT_EQ(run_cli({"sweep", "--list", "--markdown"}), 2);
+  EXPECT_EQ(run_cli({"sweep", "--list-presets"}), 2);
+  EXPECT_EQ(run_cli({"sweep", "--list"}), 2);
+  EXPECT_EQ(run_cli({"sweep", "--merge", "a.cache"}), 2);
   // --report needs a preset's PlotHints.
   EXPECT_EQ(run_cli({"sweep", "--solvers", "powerdown.break_even",
                      "--report", "somewhere"}),
@@ -203,10 +205,20 @@ TEST(Cli, MarkdownReferenceCoversEveryCommand) {
         "--summary-csv", "--latency-svg", "--allow-errors"}) {
     EXPECT_NE(markdown.find(option), std::string::npos) << option;
   }
-  // Deprecated aliases and test hooks stay out of the documented surface.
+  // Removed sweep aliases and test hooks stay out of the documented
+  // surface.
   EXPECT_EQ(markdown.find("`--merge`"), std::string::npos);
   EXPECT_EQ(markdown.find("`--list`"), std::string::npos);
   EXPECT_EQ(markdown.find("--debug-delay-ms"), std::string::npos);
+}
+
+TEST(Cli, HelpListsTestHooksSeparately) {
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(run_cli({"help", "serve"}), 0);
+  const std::string help = ::testing::internal::GetCapturedStdout();
+  const std::size_t hooks = help.find("\ntest hooks:\n");
+  ASSERT_NE(hooks, std::string::npos) << help;
+  EXPECT_GT(help.find("--debug-delay-ms"), hooks);
 }
 
 TEST(Cli, SolveUsageErrorsAndEndToEnd) {
@@ -230,6 +242,12 @@ TEST(Cli, SolveUsageErrorsAndEndToEnd) {
   // A missing instance file is a runtime failure, not usage.
   EXPECT_EQ(run_cli({"solve", "--solver", "power.greedy", "--instance",
                      "cli_test_does_not_exist.instance"}),
+            1);
+  // More jobs than processors*horizon slots is a runtime failure, not a
+  // crash in the instance generator.
+  EXPECT_EQ(run_cli({"solve", "--solver", "power.greedy", "--param",
+                     "jobs=50", "--param", "processors=1", "--param",
+                     "horizon=2"}),
             1);
   // The happy path answers on stdout and exits 0.
   EXPECT_EQ(run_cli({"solve", "--solver", "power.greedy", "--trials", "2"}),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/budgeted_maximization.hpp"
 #include "matching/hopcroft_karp.hpp"
@@ -47,6 +48,31 @@ TEST(Generators, FeasibleInstanceIsFeasible) {
         matching::hopcroft_karp(instance.build_slot_job_graph());
     EXPECT_EQ(matching.size, instance.num_jobs()) << "trial " << trial;
   }
+}
+
+TEST(Generators, FeasibleInstanceRejectsImpossibleShapes) {
+  util::Rng rng(404);
+  const auto params_of = [](int jobs, int processors, int horizon) {
+    RandomInstanceParams params;
+    params.num_jobs = jobs;
+    params.num_processors = processors;
+    params.horizon = horizon;
+    return params;
+  };
+  // More jobs than distinct slots: planting cannot succeed.
+  EXPECT_THROW(random_feasible_instance(params_of(50, 1, 2), rng),
+               std::invalid_argument);
+  EXPECT_THROW(random_feasible_instance(params_of(-1, 2, 4), rng),
+               std::invalid_argument);
+  EXPECT_THROW(random_feasible_instance(params_of(1, 0, 4), rng),
+               std::invalid_argument);
+  EXPECT_THROW(random_feasible_instance(params_of(1, 2, 0), rng),
+               std::invalid_argument);
+  EXPECT_THROW(random_feasible_instance(params_of(1, -2, -4), rng),
+               std::invalid_argument);
+  // The boundary jobs == processors * horizon is feasible.
+  const auto full = random_feasible_instance(params_of(2, 1, 2), rng);
+  EXPECT_EQ(full.num_jobs(), 2);
 }
 
 TEST(Generators, ValueRangeRespected) {

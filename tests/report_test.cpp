@@ -12,13 +12,16 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine/bench_presets.hpp"
+#include "engine/result_sink.hpp"
 #include "engine/scenario.hpp"
+#include "engine/session.hpp"
 #include "engine/sweep_runner.hpp"
 #include "report/csv_table.hpp"
 #include "report/report_builder.hpp"
@@ -29,7 +32,6 @@ namespace {
 
 using engine::BenchPreset;
 using engine::PlotHint;
-using engine::PresetRunOptions;
 using engine::ScenarioResult;
 using engine::ScenarioSpec;
 using engine::SweepPlan;
@@ -50,6 +52,23 @@ std::map<std::string, std::string> read_dir(
     out[entry.path().filename().string()] = read_file(entry.path());
   }
   return out;
+}
+
+/// One-trial e15 run through engine::Session: `config` carries the
+/// shard/cache/merge wiring; a CacheFileSink joins when it names a cache
+/// file, a CsvSink when `csv_path` is set.
+Status run_e15(engine::RunConfig config, const std::string& csv_path) {
+  config.preset = "e15";
+  config.trials = 1;
+  const bool has_cache_file = !config.cache_file.empty();
+  engine::Session session(std::move(config));
+  if (has_cache_file) {
+    session.add_sink(std::make_unique<engine::CacheFileSink>());
+  }
+  if (!csv_path.empty()) {
+    session.add_sink(std::make_unique<engine::CsvSink>(csv_path));
+  }
+  return session.run();
 }
 
 TEST(CsvTable, ParsesQuotingEmptyCellsAndCrlf) {
@@ -370,28 +389,22 @@ TEST(ReportBuilder, ShardedMergeReportIdenticalToUnsharded) {
   std::filesystem::create_directories(tmp);
 
   const std::string unsharded_csv = (tmp / "unsharded.csv").string();
-  PresetRunOptions reference;
-  reference.trials = 1;
-  reference.csv_path = unsharded_csv;
-  ASSERT_TRUE(engine::run_bench_preset(*preset, reference));
+  ASSERT_TRUE(run_e15({}, unsharded_csv).ok());
 
   std::vector<std::string> cache_files;
   for (std::size_t shard = 0; shard < 3; ++shard) {
-    PresetRunOptions options;
-    options.trials = 1;
-    options.shard_index = shard;
-    options.shard_count = 3;
-    options.cache_file =
+    engine::RunConfig config;
+    config.shard_index = shard;
+    config.shard_count = 3;
+    config.cache_file =
         (tmp / ("shard" + std::to_string(shard) + ".cache")).string();
-    cache_files.push_back(options.cache_file);
-    ASSERT_TRUE(engine::run_bench_preset(*preset, options)) << shard;
+    cache_files.push_back(config.cache_file);
+    ASSERT_TRUE(run_e15(std::move(config), "").ok()) << shard;
   }
   const std::string merged_csv = (tmp / "merged.csv").string();
-  PresetRunOptions merge;
-  merge.trials = 1;
+  engine::RunConfig merge;
   merge.merge_files = cache_files;
-  merge.csv_path = merged_csv;
-  ASSERT_TRUE(engine::run_bench_preset(*preset, merge));
+  ASSERT_TRUE(run_e15(std::move(merge), merged_csv).ok());
   EXPECT_EQ(read_file(unsharded_csv), read_file(merged_csv));
 
   CsvTable unsharded_table, merged_table;
@@ -408,8 +421,12 @@ TEST(ReportBuilder, ShardedMergeReportIdenticalToUnsharded) {
   EXPECT_EQ(files_a, read_dir(dir_b));  // sharded == unsharded, byte-wise
   EXPECT_EQ(files_a, read_dir(dir_c));  // repeated build, byte-wise
 
-  // One Markdown page embedding one SVG figure per sweep.
+  // One Markdown page embedding one SVG figure per sweep, whose
+  // regeneration recipe names the commands that exist.
   ASSERT_TRUE(files_a.count("e15.md") == 1);
+  EXPECT_NE(files_a.at("e15.md").find("powersched sweep --preset e15"),
+            std::string::npos);
+  EXPECT_EQ(files_a.at("e15.md").find("powersched_"), std::string::npos);
   std::size_t figures = 0;
   for (const auto& [name, bytes] : files_a) {
     if (name.size() > 4 && name.compare(name.size() - 4, 4, ".svg") == 0) {
@@ -436,12 +453,10 @@ TEST(ReportBuilder, FailsClosedOnShardCsvAndMissingColumns) {
   // A lone shard's CSV does not cover the plan: the report must refuse,
   // not render a partial figure.
   const std::string shard_csv = (tmp / "shard0.csv").string();
-  PresetRunOptions options;
-  options.trials = 1;
-  options.shard_index = 0;
-  options.shard_count = 3;
-  options.csv_path = shard_csv;
-  ASSERT_TRUE(engine::run_bench_preset(*preset, options));
+  engine::RunConfig shard0;
+  shard0.shard_index = 0;
+  shard0.shard_count = 3;
+  ASSERT_TRUE(run_e15(std::move(shard0), shard_csv).ok());
   CsvTable shard_table;
   ASSERT_TRUE(CsvTable::load(shard_csv, shard_table));
   EXPECT_FALSE(

@@ -519,6 +519,36 @@ TEST(Serve, OverCapExactOptimumIsARuntimeErrorAndTheConnectionSurvives) {
   EXPECT_EQ(wire.id, "next");
 }
 
+TEST(Serve, InfeasibleJobCountIsARuntimeErrorAndTheConnectionSurvives) {
+  ServerFixture fixture;
+  Client client(fixture.port());
+  ASSERT_TRUE(client.valid());
+
+  // 50 jobs cannot be planted on 1 processor x 2 slots: the generator
+  // throws inside the trial instead of reading past its slot sample.
+  engine::SolveRequest too_many = generator_request("too-many");
+  too_many.params =
+      engine::ParamMap{{"jobs", 50.0}, {"processors", 1.0}, {"horizon", 2.0}};
+  ASSERT_TRUE(client.send_line(serve::render_request_line(too_many)));
+  std::string response;
+  ASSERT_TRUE(client.read_line(response));
+  serve::WireResponse wire;
+  std::string error;
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_FALSE(wire.ok);
+  EXPECT_EQ(wire.id, "too-many");
+  EXPECT_EQ(wire.error, serve::kErrorRuntime);
+  EXPECT_NE(wire.message.find("jobs=50"), std::string::npos) << wire.message;
+
+  // The next request on the same connection is served normally.
+  ASSERT_TRUE(
+      client.send_line(serve::render_request_line(generator_request("next"))));
+  ASSERT_TRUE(client.read_line(response));
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_TRUE(wire.ok);
+  EXPECT_EQ(wire.id, "next");
+}
+
 TEST(Serve, GracefulDrainAnswersAdmittedRequests) {
   serve::ServeOptions options;
   options.debug_delay_ms = 50;

@@ -53,13 +53,12 @@ RunConfig e15_config(int trials) {
 
 // The golden comparison: a Session with a TableSink + CsvSink emits the
 // byte-identical tables and CSV the pre-redesign engine path (SweepRunner
-// + results_table + write_results_csv, as run_bench_preset wired them)
-// produced.
+// + results_table + write_results_csv, wired by hand) produced.
 TEST(Session, MatchesLegacyEnginePathByteForByte) {
   const BenchPreset* preset = find_bench_preset("e15");
   ASSERT_NE(preset, nullptr);
 
-  // Legacy path, exactly as the pre-redesign run_bench_preset emitted it.
+  // Legacy path, exactly as the pre-redesign preset runner emitted it.
   const SolverRegistry registry = SolverRegistry::with_builtins();
   SweepOptions sweep_options;
   sweep_options.num_threads = preset->default_threads;

@@ -15,12 +15,12 @@
 #include <utility>
 #include <vector>
 
+#include "obs/time.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
-#include "util/timer.hpp"
 
 namespace ps::util {
 namespace {
@@ -343,42 +343,6 @@ TEST(Table, FormatNumber) {
   EXPECT_EQ(format_number(12345.678), "1.235e+04");
 }
 
-TEST(Table, Slugify) {
-  EXPECT_EQ(Table::slugify("E1: approx ratio vs n"), "e1-approx-ratio-vs-n");
-  EXPECT_EQ(Table::slugify("  ***  "), "table");
-  EXPECT_EQ(Table::slugify("Mixed CASE 42"), "mixed-case-42");
-}
-
-TEST(Table, WriteCsv) {
-  Table t({"a", "b"});
-  t.row().cell("x").cell(1.5);
-  const std::string path = testing::TempDir() + "/ps_table.csv";
-  t.write_csv(path);
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "x,1.5");
-  std::remove(path.c_str());
-}
-
-TEST(Table, PrintDumpsCsvWhenEnvSet) {
-  const std::string dir = testing::TempDir();
-  setenv("PS_CSV_DIR", dir.c_str(), 1);
-  Table t({"col"});
-  t.set_caption("Env Test 7");
-  t.row().cell(3);
-  t.print();
-  unsetenv("PS_CSV_DIR");
-  std::ifstream in(dir + "/env-test-7.csv");
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "col");
-  std::remove((dir + "/env-test-7.csv").c_str());
-}
-
 TEST(Csv, WritesQuotedCells) {
   const std::string path = testing::TempDir() + "/ps_csv_test.csv";
   {
@@ -479,8 +443,8 @@ TEST(Accumulator, FromStateResumesStreaming) {
   EXPECT_EQ(resumed.max(), original.max());
 }
 
-TEST(Timer, MeasuresNonNegative) {
-  Timer t;
+TEST(StopWatch, MeasuresNonNegative) {
+  obs::StopWatch t;
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_GE(t.milliseconds(), 0.0);
