@@ -39,11 +39,12 @@ double median_ns_per_op(const Solver& solver, const ScenarioSpec& spec,
                         int trials, int reps, int warmup) {
   std::vector<double> rep_ns;
   rep_ns.reserve(static_cast<std::size_t>(reps));
+  const TrialSeeds seeds = spec.trial_seeds();
   for (int rep = -warmup; rep < reps; ++rep) {
     const std::uint64_t start = obs::now_ns();
     for (int t = 0; t < trials; ++t) {
-      util::Rng instance_rng(spec.instance_seed(t));
-      util::Rng algo_rng(spec.algo_seed(t));
+      util::Rng instance_rng(seeds.instance(t));
+      util::Rng algo_rng(seeds.algo(t));
       (void)solver.run_trial(spec.params, instance_rng, algo_rng);
     }
     const std::uint64_t elapsed = obs::now_ns() - start;

@@ -27,6 +27,25 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
+// derive_seed in two halves, so that TrialSeeds can hash the first once per
+// scenario.
+
+/// The trial-independent half: FNV-1a over "salt|signature".
+std::uint64_t seed_prefix(const std::string& salt, const ParamMap& params) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  h = fnv1a(h, salt);
+  h = fnv1a(h, "|");
+  return fnv1a(h, params.signature());
+}
+
+/// The per-trial half: the prefix extended by (base_seed, trial), finalized.
+std::uint64_t finish_seed(std::uint64_t prefix, std::uint64_t base_seed,
+                          int trial) {
+  const std::uint64_t words[2] = {base_seed, static_cast<std::uint64_t>(trial)};
+  return mix(fnv1a(prefix, reinterpret_cast<const char*>(words),
+                   sizeof(words)));
+}
+
 }  // namespace
 
 std::string format_param(double value) {
@@ -67,23 +86,22 @@ std::string ScenarioSpec::label() const {
   return solver + "{" + params.signature() + "}";
 }
 
-std::uint64_t ScenarioSpec::instance_seed(int trial) const {
-  return derive_seed(seed, "", instance_params(), trial);
+TrialSeeds ScenarioSpec::trial_seeds() const {
+  return TrialSeeds{seed, seed_prefix("", instance_params()),
+                    seed_prefix(solver, params)};
 }
 
-std::uint64_t ScenarioSpec::algo_seed(int trial) const {
-  return derive_seed(seed, solver, params, trial);
+std::uint64_t TrialSeeds::instance(int trial) const {
+  return finish_seed(instance_prefix, base_seed, trial);
+}
+
+std::uint64_t TrialSeeds::algo(int trial) const {
+  return finish_seed(algo_prefix, base_seed, trial);
 }
 
 std::uint64_t derive_seed(std::uint64_t base_seed, const std::string& salt,
                           const ParamMap& params, int trial) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  h = fnv1a(h, salt);
-  h = fnv1a(h, "|");
-  h = fnv1a(h, params.signature());
-  const std::uint64_t words[2] = {base_seed, static_cast<std::uint64_t>(trial)};
-  h = fnv1a(h, reinterpret_cast<const char*>(words), sizeof(words));
-  return mix(h);
+  return finish_seed(seed_prefix(salt, params), base_seed, trial);
 }
 
 std::vector<ScenarioSpec> SweepPlan::expand() const {

@@ -50,6 +50,23 @@ class ParamMap {
   std::map<std::string, double> values_;
 };
 
+/// The derive_seed values of one scenario's trials. derive_seed hashes
+/// "salt|signature" before (base_seed, trial), so each stream's prefix is
+/// hashed once here and a trial pays only the rest: no signature rendering
+/// or ParamMap copy per trial.
+struct TrialSeeds {
+  std::uint64_t base_seed = 0;
+  std::uint64_t instance_prefix = 0;  // FNV-1a state after "|signature"
+  std::uint64_t algo_prefix = 0;      // FNV-1a state after "solver|signature"
+
+  /// Seed of trial `trial`'s instance stream (solver-independent, shared by
+  /// every solver swept over the same instance parameters).
+  std::uint64_t instance(int trial) const;
+  /// Seed of trial `trial`'s algorithm stream (salted with the solver name
+  /// and the full parameter bag).
+  std::uint64_t algo(int trial) const;
+};
+
 /// One cell of a sweep: run `solver` for `trials` independent trials with
 /// the given generator/algorithm parameters.
 struct ScenarioSpec {
@@ -73,12 +90,8 @@ struct ScenarioSpec {
   /// `algo_params`.
   ParamMap instance_params() const { return params.without(algo_params); }
 
-  /// Seed of trial `trial`'s instance stream (solver-independent, shared by
-  /// every solver swept over the same instance parameters).
-  std::uint64_t instance_seed(int trial) const;
-  /// Seed of trial `trial`'s algorithm stream (salted with the solver name
-  /// and the full parameter bag).
-  std::uint64_t algo_seed(int trial) const;
+  /// The per-trial seeds of both streams; see TrialSeeds.
+  TrialSeeds trial_seeds() const;
 };
 
 /// Canonical %.17g rendering of a value — the round-trippable format used

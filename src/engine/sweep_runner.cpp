@@ -215,9 +215,10 @@ ScenarioResult run_scenario_inline(const SolverRegistry& registry,
   }
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   const bool tracing = recorder.active();
+  const TrialSeeds seeds = spec.trial_seeds();
   for (int t = 0; t < trials; ++t) {
-    util::Rng instance_rng(spec.instance_seed(t));
-    util::Rng algo_rng(spec.algo_seed(t));
+    util::Rng instance_rng(seeds.instance(t));
+    util::Rng algo_rng(seeds.algo(t));
     TrialSlot& slot = slots[static_cast<std::size_t>(t)];
     const std::uint64_t cpu_start = metrics_on ? obs::thread_cpu_ns() : 0;
     const std::uint64_t start_ns = obs::now_ns();
@@ -290,6 +291,7 @@ std::vector<ScenarioResult> SweepRunner::run(
   // them in a fixed order, so statistics do not depend on thread count.
   std::vector<std::pair<std::size_t, int>> items;
   std::vector<std::vector<TrialSlot>> slots(scenarios.size());
+  std::vector<TrialSeeds> seeds(scenarios.size());
   std::size_t scenarios_cache_served = 0;
   std::size_t scenarios_deduped = 0;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
@@ -303,6 +305,7 @@ std::vector<ScenarioResult> SweepRunner::run(
     }
     const int trials = scenarios[s].trials;
     slots[s].resize(static_cast<std::size_t>(trials > 0 ? trials : 0));
+    seeds[s] = scenarios[s].trial_seeds();
     for (int t = 0; t < trials; ++t) items.emplace_back(s, t);
   }
   const std::size_t scenarios_skipped =
@@ -350,8 +353,8 @@ std::vector<ScenarioResult> SweepRunner::run(
   pool.parallel_for(0, items.size(), [&](std::size_t idx) {
     const auto [s, t] = items[idx];
     const ScenarioSpec& spec = scenarios[s];
-    util::Rng instance_rng(spec.instance_seed(t));
-    util::Rng algo_rng(spec.algo_seed(t));
+    util::Rng instance_rng(seeds[s].instance(t));
+    util::Rng algo_rng(seeds[s].algo(t));
     TrialSlot& slot = slots[s][static_cast<std::size_t>(t)];
     const std::uint64_t cpu_start = metrics_on ? obs::thread_cpu_ns() : 0;
     const std::uint64_t start_ns = obs::now_ns();

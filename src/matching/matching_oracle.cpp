@@ -13,7 +13,9 @@ IncrementalMatchingOracle::IncrementalMatchingOracle(
       active_x_(graph.num_x()),
       match_x_(static_cast<std::size_t>(graph.num_x()), -1),
       match_y_(static_cast<std::size_t>(graph.num_y()), -1),
-      visit_stamp_(static_cast<std::size_t>(graph.num_y()), 0) {}
+      visit_stamp_(static_cast<std::size_t>(graph.num_y()), 0) {
+  assert(graph.num_x() < kDead);
+}
 
 int IncrementalMatchingOracle::add_x(int x) {
   assert(0 <= x && x < graph_->num_x());
@@ -21,19 +23,32 @@ int IncrementalMatchingOracle::add_x(int x) {
   active_x_.insert(x);
   // A new augmenting path, if any, must start at the only new free vertex.
   ++current_stamp_;
-  if (try_augment_from(x)) {
+  // Scratch shared by every oracle on this thread, so the what-if copies of
+  // gain_of allocate nothing for it.
+  thread_local std::vector<int> visited;
+  visited.clear();
+  if (try_augment_from(x, visited)) {
     ++size_;
     return 1;
   }
+  // Every job a failed search visited is matched, and every job adjacent to
+  // their matched slots was visited too or is already dead. An alternating
+  // path that enters the set never leaves it, so it reaches no free job, now
+  // or after any later add_x (augmentations elsewhere leave the set's
+  // matching alone, and a new slot adds edges only from itself). Later
+  // searches skip it, which leaves the path each of them finds unchanged.
+  for (int y : visited) visit_stamp_[static_cast<std::size_t>(y)] = kDead;
   return 0;
 }
 
-bool IncrementalMatchingOracle::try_augment_from(int x) {
+bool IncrementalMatchingOracle::try_augment_from(int x,
+                                                 std::vector<int>& visited) {
   for (int y : graph_->neighbors_of_x(x)) {
-    if (visit_stamp_[static_cast<std::size_t>(y)] == current_stamp_) continue;
+    if (visit_stamp_[static_cast<std::size_t>(y)] >= current_stamp_) continue;
     visit_stamp_[static_cast<std::size_t>(y)] = current_stamp_;
+    visited.push_back(y);
     const int other = match_y_[static_cast<std::size_t>(y)];
-    if (other == -1 || try_augment_from(other)) {
+    if (other == -1 || try_augment_from(other, visited)) {
       match_x_[static_cast<std::size_t>(x)] = y;
       match_y_[static_cast<std::size_t>(y)] = x;
       return true;

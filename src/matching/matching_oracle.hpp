@@ -46,16 +46,22 @@ class IncrementalMatchingOracle {
   int gain_of(const std::vector<int>& extra_x) const;
 
  private:
-  bool try_augment_from(int x);
+  // DFS for an augmenting path from slot x, appending each job it stamps
+  // to `visited`.
+  bool try_augment_from(int x, std::vector<int>& visited);
 
   const BipartiteGraph* graph_;
   submodular::ItemSet active_x_;
   std::vector<int> match_x_;
   std::vector<int> match_y_;
   int size_ = 0;
-  // DFS bookkeeping, versioned to avoid clearing between searches.
-  mutable std::vector<int> visit_stamp_;
-  mutable int current_stamp_ = 0;
+  // DFS bookkeeping, versioned to avoid clearing between searches: a search
+  // skips every job stamped at or above current_stamp_. A job a failed
+  // search visited is stamped kDead for good; current_stamp_ counts the
+  // slots added, so it stays below kDead.
+  static constexpr int kDead = 1 << 30;
+  std::vector<int> visit_stamp_;
+  int current_stamp_ = 0;
 };
 
 /// Maintains a maximum-weight saturated job set over a growing subset S ⊆ X,

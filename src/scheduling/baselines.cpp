@@ -107,22 +107,38 @@ SlotSubsetCost::SlotSubsetCost(const SchedulingInstance& instance,
   }
 
   processors_.resize(owned.size());
-  std::vector<int> times;
+  std::vector<PricedSpan> spans;
+  std::vector<std::size_t> picks;
+  CoverRuns runs;
   int shift = 0;
   for (int p = 0; p < instance.num_processors(); ++p) {
     const auto& mine = owned[static_cast<std::size_t>(p)];
     Processor& proc = processors_[static_cast<std::size_t>(p)];
-    const std::uint32_t width = 1u << mine.size();
+    const std::size_t w = mine.size();
+    const std::uint32_t width = 1u << w;
     proc.shift = shift;
     proc.width_mask = width - 1;
     proc.table.resize(width);
+    // A subset's runs are runs of the processor's useful times, so the
+    // spans of those times, kept as a w x w table, serve every subset.
+    spans.assign(w * w, PricedSpan{});
+    CheapestSpanRows rows(p, mine, instance.horizon(), cost_model);
+    for (std::size_t j = 0; j < w; ++j) {
+      const auto& row = rows.row(j);
+      std::copy(row.begin() + static_cast<std::ptrdiff_t>(j), row.end(),
+                spans.begin() + static_cast<std::ptrdiff_t>(j * w + j));
+    }
     for (std::uint32_t sub = 0; sub < width; ++sub) {
-      times.clear();
-      for (std::size_t b = 0; b < mine.size(); ++b) {
-        if ((sub >> b) & 1u) times.push_back(mine[b]);
+      picks.clear();
+      for (std::size_t b = 0; b < w; ++b) {
+        if ((sub >> b) & 1u) picks.push_back(b);
       }
-      min_cost_cover(p, times, instance.horizon(), cost_model,
-                     &proc.table[sub]);
+      proc.table[sub] = cover_runs(
+          picks.size(),
+          [&](std::size_t j, std::size_t i) -> const PricedSpan& {
+            return spans[picks[j] * w + picks[i]];
+          },
+          runs);
     }
     shift += static_cast<int>(mine.size());
   }

@@ -38,9 +38,11 @@ int count_useful_slots(const SchedulingInstance& instance);
 /// slots, in table form. Bit b of a mask stands for the b-th useful slot in
 /// ascending global index, which is processor-major order, so each
 /// processor p owns one contiguous run of w_p bits. Its cover cost depends
-/// on those bits alone, so the constructor prices each processor's 2^{w_p}
-/// subsets once with min_cost_cover, and cost(mask) is then P table lookups.
-/// Memory is 2^{w_p} doubles per processor: at most 32 MiB at the cap.
+/// on those bits alone, so the constructor tabulates the cheapest spans of
+/// the processor's useful times once (CheapestSpanRows) and prices each of
+/// its 2^{w_p} subsets with the min_cost_cover DP (cover_runs) by lookup in
+/// that table; cost(mask) is then P table lookups. Memory is 2^{w_p}
+/// doubles per processor: at most 32 MiB at the cap.
 class SlotSubsetCost {
  public:
   /// Throws std::length_error, naming the count and the cap, when the

@@ -96,7 +96,15 @@ SchedulingInstance random_feasible_instance(const RandomInstanceParams& params,
 
 SetCoverInstance random_set_cover(int num_elements, int num_sets, int set_size,
                                   util::Rng& rng) {
-  assert(set_size <= num_elements);
+  // Reachable from request parameters: a bad shape throws, like
+  // random_feasible_instance.
+  if (num_sets < 1 || set_size < 1 || set_size > num_elements) {
+    throw std::invalid_argument(
+        "random_set_cover: need sets >= 1 and 1 <= set_size <= elements; "
+        "got elements=" + std::to_string(num_elements) +
+        ", sets=" + std::to_string(num_sets) +
+        ", set_size=" + std::to_string(set_size));
+  }
   SetCoverInstance instance;
   instance.num_elements = num_elements;
   instance.sets.reserve(static_cast<std::size_t>(num_sets));
@@ -121,9 +129,15 @@ SetCoverInstance random_set_cover(int num_elements, int num_sets, int set_size,
 
 int exact_min_set_cover(const SetCoverInstance& instance) {
   const int m = static_cast<int>(instance.sets.size());
-  assert(m <= 24);
+  if (m > kMaxExactCoverSets || instance.num_elements > kMaxExactCoverElements) {
+    throw std::length_error(
+        "exact_min_set_cover: " + std::to_string(m) + " sets and " +
+        std::to_string(instance.num_elements) +
+        " elements, above the brute-force caps of " +
+        std::to_string(kMaxExactCoverSets) + " sets and " +
+        std::to_string(kMaxExactCoverElements) + " elements");
+  }
   std::vector<std::uint64_t> masks(static_cast<std::size_t>(m), 0);
-  assert(instance.num_elements <= 64);
   for (int s = 0; s < m; ++s) {
     for (int e : instance.sets[static_cast<std::size_t>(s)]) {
       masks[static_cast<std::size_t>(s)] |= 1ULL << e;
@@ -147,7 +161,11 @@ int exact_min_set_cover(const SetCoverInstance& instance) {
 }
 
 SetCoverInstance adversarial_set_cover(int k) {
-  assert(1 <= k && k <= 20);
+  if (k < 1 || k > kMaxAdversarialK) {
+    throw std::invalid_argument(
+        "adversarial_set_cover: need 1 <= k <= " +
+        std::to_string(kMaxAdversarialK) + "; got k=" + std::to_string(k));
+  }
   const int half = (1 << k) - 1;  // elements per row
   SetCoverInstance instance;
   instance.num_elements = 2 * half;

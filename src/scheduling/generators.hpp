@@ -48,18 +48,31 @@ struct SetCoverInstance {
 };
 
 /// Random instance in which every element is covered by at least one set.
+/// Throws std::invalid_argument unless sets >= 1 and
+/// 1 <= set_size <= elements.
 SetCoverInstance random_set_cover(int num_elements, int num_sets,
                                   int set_size, util::Rng& rng);
 
+/// Caps of exact_min_set_cover: 2^sets subsets, elements as 64-bit masks.
+inline constexpr int kMaxExactCoverSets = 24;
+inline constexpr int kMaxExactCoverElements = 64;
+
 /// Exact minimum number of sets covering everything (brute force over set
-/// subsets; sets.size() <= 24). Returns -1 if uncoverable.
+/// subsets). Throws std::length_error past kMaxExactCoverSets sets or
+/// kMaxExactCoverElements elements. Returns -1 if uncoverable.
 int exact_min_set_cover(const SetCoverInstance& instance);
+
+/// Largest k adversarial_set_cover accepts. Its n = 2·(2^k − 1) elements
+/// become 2n² slot refs in the scheduling reduction, so each step of k
+/// quadruples the pipeline's memory: k = 10 (n = 2046) takes about 120 MB.
+inline constexpr int kMaxAdversarialK = 10;
 
 /// The classic greedy-lower-bound construction: 2·(2^k - 1) elements in two
 /// rows, split column-wise into blocks of sizes 2^{k-1}, ..., 1. The two row
 /// sets cover everything (OPT = 2), but greedy is baited into the k block
 /// sets, realizing the Θ(log n) gap the Set-Cover hardness (Theorem .1.2)
-/// transfers to scheduling.
+/// transfers to scheduling. Throws std::invalid_argument unless
+/// 1 <= k <= kMaxAdversarialK.
 SetCoverInstance adversarial_set_cover(int k);
 
 /// The Theorem .1.2 reduction: one processor per set, one job per element,

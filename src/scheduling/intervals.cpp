@@ -94,59 +94,56 @@ double total_cost(const std::vector<AwakeInterval>& intervals,
   return total;
 }
 
+CheapestSpanRows::CheapestSpanRows(int processor,
+                                   const std::vector<int>& times, int horizon,
+                                   const CostModel& cost_model)
+    : processor_(processor),
+      times_(times),
+      horizon_(horizon),
+      cost_model_(cost_model),
+      best_(times.size()) {
+  assert(std::is_sorted(times.begin(), times.end()));
+}
+
+const std::vector<PricedSpan>& CheapestSpanRows::row(std::size_t j) {
+  assert(j < times_.size());
+  const std::size_t m = times_.size();
+  for (; next_start_ <= times_[j]; ++next_start_) {
+    const int s = next_start_;
+    while (times_[first_] < s) ++first_;
+    PricedSpan fold;  // cheapest [s, e) over the ends folded so far
+    std::size_t i = m;  // offers go to best_[i-1], descending
+    for (int e = horizon_; e > times_[first_]; --e) {
+      const double c = cost_model_.cost(processor_, s, e);
+      if (c <= fold.cost) fold = PricedSpan{c, s, e};
+      for (; i > first_ && times_[i - 1] + 1 == e; --i) {
+        if (fold.cost < best_[i - 1].cost) best_[i - 1] = fold;
+      }
+    }
+  }
+  return best_;
+}
+
 std::vector<AwakeInterval> min_cost_cover(int processor,
                                           const std::vector<int>& required_times,
                                           int horizon,
                                           const CostModel& cost_model,
                                           double* cost) {
   assert(cost != nullptr);
-  if (required_times.empty()) {
-    *cost = 0.0;
-    return {};
-  }
-  assert(std::is_sorted(required_times.begin(), required_times.end()));
-  const auto m = required_times.size();
+  CheapestSpanRows rows(processor, required_times, horizon, cost_model);
+  CoverRuns runs;
+  *cost = cover_runs(
+      required_times.size(),
+      [&](std::size_t j, std::size_t i) -> const PricedSpan& {
+        return rows.row(j)[i];
+      },
+      runs);
 
-  // best_span[j][i]: cheapest single interval covering required slots j..i.
-  // dp[i]: cheapest cover of required slots 0..i-1.
-  auto cheapest_span = [&](std::size_t j, std::size_t i, AwakeInterval* out) {
-    const int lo = required_times[j];
-    const int hi = required_times[i];
-    double best = kInfiniteCost;
-    for (int s = 0; s <= lo; ++s) {
-      for (int e = hi + 1; e <= horizon; ++e) {
-        const double c = cost_model.cost(processor, s, e);
-        if (c < best) {
-          best = c;
-          *out = AwakeInterval{processor, s, e};
-        }
-      }
-    }
-    return best;
-  };
-
-  std::vector<double> dp(m + 1, kInfiniteCost);
-  std::vector<std::size_t> split(m + 1, 0);
-  std::vector<AwakeInterval> chosen_span(m + 1);
-  dp[0] = 0.0;
-  for (std::size_t i = 1; i <= m; ++i) {
-    for (std::size_t j = 0; j < i; ++j) {
-      if (!std::isfinite(dp[j])) continue;
-      AwakeInterval span;
-      const double c = cheapest_span(j, i - 1, &span);
-      if (dp[j] + c < dp[i]) {
-        dp[i] = dp[j] + c;
-        split[i] = j;
-        chosen_span[i] = span;
-      }
-    }
-  }
-
-  *cost = dp[m];
   std::vector<AwakeInterval> result;
-  if (!std::isfinite(dp[m])) return result;
-  for (std::size_t i = m; i > 0; i = split[i]) {
-    result.push_back(chosen_span[i]);
+  if (!std::isfinite(*cost)) return result;
+  for (std::size_t i = required_times.size(); i > 0; i = runs.split[i]) {
+    const PricedSpan& span = runs.last[i];
+    result.push_back(AwakeInterval{processor, span.start, span.end});
   }
   std::reverse(result.begin(), result.end());
   return result;

@@ -1,9 +1,13 @@
-// Differential test of the table-driven exact optimum (SlotSubsetCost plus
-// bitmask matching) against the straightforward enumerator it replaced,
-// kept here as the oracle: per mask, bucket the slots by processor, run
-// min_cost_cover per processor, and check feasibility with Hopcroft–Karp or
-// the weighted-matching utility. Both must pick the same slot subset, so
-// the schedules — assignment, intervals and every double — are identical.
+// Differential tests of the table-driven kernels against the
+// straightforward code they replaced, kept here as oracles:
+//   * the exact optimum (SlotSubsetCost plus bitmask matching) against the
+//     per-mask enumerator: bucket the slots by processor, run
+//     min_cost_cover per processor, and check feasibility with
+//     Hopcroft–Karp or the weighted-matching utility. Both must pick the
+//     same slot subset, so the schedules — assignment, intervals and every
+//     double — are identical;
+//   * min_cost_cover's CheapestSpanRows against the O(m²T²) DP that
+//     rescanned every (start, end) for each pair of required times.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +25,7 @@
 #include "scheduling/baselines.hpp"
 #include "scheduling/budget_scheduler.hpp"
 #include "scheduling/cost_model.hpp"
+#include "scheduling/intervals.hpp"
 #include "util/rng.hpp"
 
 namespace ps::scheduling {
@@ -253,6 +258,17 @@ TEST(BruteForce, TableKernelMatchesPerMaskEnumerator) {
         const auto model =
             make_cost_model(rep % 5, processors, horizon, rng, &base);
 
+        // The cover-cost table, mask by mask, before the optima built on it.
+        const SlotSubsetCost subsets(instance, *model);
+        const auto useful_slots = oracle_useful_slots(instance);
+        ASSERT_EQ(subsets.slots(), useful_slots);
+        for (std::uint32_t mask = 0; mask < subsets.mask_limit(); ++mask) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(oracle_mask_cost(
+                        instance, *model, useful_slots, mask, kInfiniteCost)),
+                    std::bit_cast<std::uint64_t>(subsets.cost(mask)))
+              << "seed " << seed << " mask " << mask;
+        }
+
         const auto expected = oracle_all_jobs(instance, *model);
         expect_identical(expected,
                          brute_force_min_cost_all_jobs(instance, *model),
@@ -277,6 +293,166 @@ TEST(BruteForce, TableKernelMatchesPerMaskEnumerator) {
   // Both outcomes are exercised, not just the feasible one.
   EXPECT_GT(feasible, 50);
   EXPECT_GT(infeasible, 10);
+}
+
+// ---------------------------------------------------------------------------
+// The span oracle: min_cost_cover as it was before CheapestSpanRows, with each
+// pair's cheapest span found by an s-major, strict-< scan of every
+// [s, e) with s <= times[j] and e > times[i].
+
+std::vector<AwakeInterval> scan_min_cost_cover(
+    int processor, const std::vector<int>& required_times, int horizon,
+    const CostModel& cost_model, double* cost) {
+  if (required_times.empty()) {
+    *cost = 0.0;
+    return {};
+  }
+  const auto m = required_times.size();
+  auto cheapest_span = [&](std::size_t j, std::size_t i, AwakeInterval* out) {
+    const int lo = required_times[j];
+    const int hi = required_times[i];
+    double best = kInfiniteCost;
+    for (int s = 0; s <= lo; ++s) {
+      for (int e = hi + 1; e <= horizon; ++e) {
+        const double c = cost_model.cost(processor, s, e);
+        if (c < best) {
+          best = c;
+          *out = AwakeInterval{processor, s, e};
+        }
+      }
+    }
+    return best;
+  };
+
+  std::vector<double> dp(m + 1, kInfiniteCost);
+  std::vector<std::size_t> split(m + 1, 0);
+  std::vector<AwakeInterval> chosen_span(m + 1);
+  dp[0] = 0.0;
+  for (std::size_t i = 1; i <= m; ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (!std::isfinite(dp[j])) continue;
+      AwakeInterval span;
+      const double c = cheapest_span(j, i - 1, &span);
+      if (dp[j] + c < dp[i]) {
+        dp[i] = dp[j] + c;
+        split[i] = j;
+        chosen_span[i] = span;
+      }
+    }
+  }
+
+  *cost = dp[m];
+  std::vector<AwakeInterval> result;
+  if (!std::isfinite(dp[m])) return result;
+  for (std::size_t i = m; i > 0; i = split[i]) {
+    result.push_back(chosen_span[i]);
+  }
+  std::reverse(result.begin(), result.end());
+  return result;
+}
+
+/// Cost-model families for the span oracle, including the tie-heavy ones:
+/// flat (every interval ties), integer prices with zeros (ties between
+/// nested intervals) and outages (infinite costs).
+std::unique_ptr<CostModel> make_span_model(int kind, int horizon,
+                                           util::Rng& rng,
+                                           std::unique_ptr<CostModel>* base) {
+  const double alpha = rng.uniform_double(0.0, 3.0);
+  switch (kind) {
+    case 0:
+      return std::make_unique<RestartCostModel>(alpha);
+    case 1: {
+      std::vector<double> prices(static_cast<std::size_t>(horizon));
+      const bool integral = rng.bernoulli(0.5);
+      for (auto& p : prices) {
+        p = integral ? rng.uniform_int(0, 2) : rng.uniform_double(0.0, 2.0);
+      }
+      return std::make_unique<TimeVaryingCostModel>(alpha, prices);
+    }
+    case 2:
+      return std::make_unique<ConvexFanCostModel>(
+          alpha, rng.uniform_double(0.0, 0.5));
+    case 3:
+      return std::make_unique<FlatIntervalCostModel>(
+          rng.uniform_double(0.5, 2.0));
+    default: {
+      *base = std::make_unique<RestartCostModel>(alpha);
+      std::vector<UnavailabilityCostModel::Outage> outages;
+      const int count = rng.uniform_int(1, 4);
+      for (int k = 0; k < count; ++k) {
+        outages.push_back({0, rng.uniform_int(0, horizon - 1)});
+      }
+      return std::make_unique<UnavailabilityCostModel>(**base, 1, horizon,
+                                                       outages);
+    }
+  }
+}
+
+TEST(CheapestSpanRows, MinCostCoverMatchesPerPairScan) {
+  int cases = 0;
+  int infinite = 0;
+  // Each (horizon, model family, requirement shape) triple once.
+  for (int seed = 0; seed < 40 * 5 * 4; ++seed, ++cases) {
+    util::Rng rng(0x5CA9 + static_cast<std::uint64_t>(seed));
+    const int horizon = 1 + seed % 40;
+    std::unique_ptr<CostModel> base;
+    const auto model = make_span_model((seed / 40) % 5, horizon, rng, &base);
+    std::vector<int> required;
+    switch (seed / 200) {
+      case 0:  // empty
+        break;
+      case 1:  // a single slot
+        required.push_back(rng.uniform_int(0, horizon - 1));
+        break;
+      case 2:  // every slot
+        for (int t = 0; t < horizon; ++t) required.push_back(t);
+        break;
+      default:  // random
+        for (int t = 0; t < horizon; ++t) {
+          if (rng.bernoulli(0.4)) required.push_back(t);
+        }
+    }
+
+    double expected_cost = -1.0;
+    const auto expected =
+        scan_min_cost_cover(0, required, horizon, *model, &expected_cost);
+    double cost = -1.0;
+    const auto cover = min_cost_cover(0, required, horizon, *model, &cost);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(expected_cost),
+              std::bit_cast<std::uint64_t>(cost))
+        << "seed " << seed << ": " << expected_cost << " vs " << cost;
+    ASSERT_EQ(expected, cover) << "seed " << seed;
+    if (!std::isfinite(cost)) ++infinite;
+
+    // Every span, not only the ones the DP ends up using.
+    CheapestSpanRows rows(0, required, horizon, *model);
+    for (std::size_t j = 0; j < required.size(); ++j) {
+      const std::vector<PricedSpan>& row = rows.row(j);
+      for (std::size_t i = j; i < required.size(); ++i) {
+        double best = kInfiniteCost;
+        AwakeInterval best_span;
+        for (int s = 0; s <= required[j]; ++s) {
+          for (int e = required[i] + 1; e <= horizon; ++e) {
+            const double c = model->cost(0, s, e);
+            if (c < best) {
+              best = c;
+              best_span = AwakeInterval{0, s, e};
+            }
+          }
+        }
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(best),
+                  std::bit_cast<std::uint64_t>(row[i].cost))
+            << "seed " << seed << " pair " << j << "," << i;
+        if (std::isfinite(best)) {
+          ASSERT_EQ(best_span, (AwakeInterval{0, row[i].start, row[i].end}))
+              << "seed " << seed << " pair " << j << "," << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 800);
+  // The outage family reaches uncoverable requirements too.
+  EXPECT_GT(infinite, 5);
 }
 
 TEST(BruteForce, CountUsefulSlotsCountsDistinctAdmissibleSlots) {

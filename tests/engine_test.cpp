@@ -62,6 +62,37 @@ TEST(DeriveSeed, VariesByTrialSaltAndParams) {
   EXPECT_NE(base, derive_seed(1, "", other, 0));
 }
 
+TEST(DeriveSeed, TrialSeedsEqualDeriveSeedForEveryTrial) {
+  ScenarioSpec plain;
+  plain.solver = "power.greedy";
+  plain.params = {{"jobs", 12.0}, {"horizon", 8.0}};
+  plain.seed = 20100601;
+  ScenarioSpec tuned = plain;
+  tuned.solver = "core.bicriteria";
+  tuned.params.set("eps", 0.125);
+  tuned.algo_params = {"eps", "absent"};
+  tuned.seed = 7;
+  for (const ScenarioSpec* spec : {&plain, &tuned}) {
+    const TrialSeeds seeds = spec->trial_seeds();
+    for (int t = 0; t <= 1000; ++t) {
+      ASSERT_EQ(seeds.instance(t),
+                derive_seed(spec->seed, "", spec->instance_params(), t))
+          << spec->label() << " trial " << t;
+      ASSERT_EQ(seeds.algo(t),
+                derive_seed(spec->seed, spec->solver, spec->params, t))
+          << spec->label() << " trial " << t;
+    }
+  }
+  // The algo params leave the instance stream alone.
+  ScenarioSpec untuned = tuned;
+  untuned.params = plain.params;
+  untuned.algo_params.clear();
+  EXPECT_EQ(tuned.trial_seeds().instance_prefix,
+            untuned.trial_seeds().instance_prefix);
+  EXPECT_NE(tuned.trial_seeds().algo_prefix,
+            untuned.trial_seeds().algo_prefix);
+}
+
 TEST(ParamMap, WithoutStripsNames) {
   const ParamMap params{{"a", 1.0}, {"b", 2.0}, {"c", 3.0}};
   const ParamMap stripped = params.without({"b", "absent"});
@@ -77,12 +108,12 @@ TEST(ScenarioSpec, AlgoParamsExcludedFromInstanceSeedOnly) {
   ScenarioSpec b = a;
   b.params.set("eps", 0.25);
   // Same instance stream, different algorithm stream.
-  EXPECT_EQ(a.instance_seed(3), b.instance_seed(3));
-  EXPECT_NE(a.algo_seed(3), b.algo_seed(3));
+  EXPECT_EQ(a.trial_seeds().instance(3), b.trial_seeds().instance(3));
+  EXPECT_NE(a.trial_seeds().algo(3), b.trial_seeds().algo(3));
   // A non-algo param change moves the instance stream.
   ScenarioSpec c = a;
   c.params.set("n", 11.0);
-  EXPECT_NE(a.instance_seed(3), c.instance_seed(3));
+  EXPECT_NE(a.trial_seeds().instance(3), c.trial_seeds().instance(3));
 }
 
 TEST(SweepPlan, ExpandsCartesianAxesMajorSolverMinor) {

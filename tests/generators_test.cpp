@@ -107,6 +107,35 @@ TEST(SetCover, ExactSolverKnownInstances) {
   EXPECT_EQ(exact_min_set_cover(sc), -1);
 }
 
+TEST(SetCover, BadShapesThrowInsteadOfAsserting) {
+  util::Rng rng(421);
+  // set_size > elements would read past the element sample.
+  EXPECT_THROW((void)random_set_cover(10, 10, 20, rng), std::invalid_argument);
+  EXPECT_THROW((void)random_set_cover(10, 10, 0, rng), std::invalid_argument);
+  EXPECT_THROW((void)random_set_cover(10, 0, 3, rng), std::invalid_argument);
+  EXPECT_THROW((void)random_set_cover(0, 3, 1, rng), std::invalid_argument);
+  EXPECT_NO_THROW((void)random_set_cover(1, 1, 1, rng));
+
+  // 2^25 subsets, or elements past a 64-bit mask.
+  SetCoverInstance sc;
+  sc.num_elements = 1;
+  sc.sets.assign(kMaxExactCoverSets, std::vector<int>{0});
+  EXPECT_EQ(exact_min_set_cover(sc), 1);
+  sc.sets.push_back({0});
+  EXPECT_THROW((void)exact_min_set_cover(sc), std::length_error);
+  sc.sets = {{0}};
+  sc.num_elements = kMaxExactCoverElements + 1;
+  EXPECT_THROW((void)exact_min_set_cover(sc), std::length_error);
+  sc.num_elements = kMaxExactCoverElements;
+  EXPECT_EQ(exact_min_set_cover(sc), -1);
+
+  for (int k : {-1, 0, kMaxAdversarialK + 1}) {
+    EXPECT_THROW((void)adversarial_set_cover(k), std::invalid_argument) << k;
+  }
+  EXPECT_EQ(adversarial_set_cover(1).num_elements, 2);
+  EXPECT_EQ(adversarial_set_cover(kMaxAdversarialK).num_elements, 2046);
+}
+
 TEST(SetCoverReduction, SchedulingCostEqualsCoverSize) {
   // Theorem .1.2: with FlatIntervalCostModel(1), OPT(schedule) = OPT(cover).
   util::Rng rng(419);

@@ -1,7 +1,8 @@
 // Bit-exactness contracts of the incremental marginal-gain evaluators and
 // the mask-native oracle paths: the fast paths must return doubles that are
 // bitwise equal to the plain oracle's, so sweep CSVs stay byte-identical
-// whichever path the solver takes.
+// whichever path the solver takes. Also the incremental matching oracle's
+// dead-job marks against a fresh Hopcroft–Karp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,9 @@
 #include <cstring>
 #include <vector>
 
+#include "matching/bipartite_graph.hpp"
+#include "matching/hopcroft_karp.hpp"
+#include "matching/matching_oracle.hpp"
 #include "submodular/coverage.hpp"
 #include "submodular/facility_location.hpp"
 #include "submodular/greedy.hpp"
@@ -190,3 +194,98 @@ TEST(IncrementalOracle, ValueMemoSurvivesInstanceInterleaving) {
 
 }  // namespace
 }  // namespace ps::submodular
+
+namespace ps::matching {
+namespace {
+
+/// F(S) by a fresh Hopcroft–Karp over the slot set S.
+int fresh_size(const BipartiteGraph& graph, const submodular::ItemSet& s) {
+  return hopcroft_karp(graph, s).size;
+}
+
+/// Checks the oracle after one add_x: its size is the maximum matching of
+/// its slot set, its matching is a real one, and a what-if gain equals the
+/// difference of two fresh matchings.
+void check_oracle(const BipartiteGraph& graph,
+                  const IncrementalMatchingOracle& oracle,
+                  const std::vector<int>& extra, const char* where) {
+  ASSERT_EQ(oracle.size(), fresh_size(graph, oracle.active_x())) << where;
+  MatchingResult current;
+  current.match_x = oracle.match_x();
+  current.match_y = oracle.match_y();
+  current.size = oracle.size();
+  ASSERT_TRUE(is_valid_matching(graph, current, oracle.active_x())) << where;
+
+  submodular::ItemSet with_extra = oracle.active_x();
+  for (int x : extra) with_extra.insert(x);
+  IncrementalMatchingOracle fresh(graph);
+  with_extra.for_each([&](int x) { fresh.add_x(x); });
+  ASSERT_EQ(oracle.gain_of(extra), fresh.size() - oracle.size()) << where;
+  ASSERT_EQ(fresh.size(), fresh_size(graph, with_extra)) << where;
+}
+
+TEST(IncrementalMatchingOracle, MatchesHopcroftKarpOnRandomAddOrders) {
+  int failed_adds = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    util::Rng rng(0xDEAD + static_cast<std::uint64_t>(trial));
+    const int num_x = rng.uniform_int(1, 24);
+    const int num_y = rng.uniform_int(1, 24);
+    // Sparse graphs with more slots than jobs make searches fail often,
+    // which is where dead marks are set and then relied on.
+    const auto graph = BipartiteGraph::random(
+        num_x, num_y, rng.uniform_double(0.05, 0.4), rng);
+    std::vector<int> order(static_cast<std::size_t>(num_x));
+    for (int x = 0; x < num_x; ++x) order[static_cast<std::size_t>(x)] = x;
+    rng.shuffle(order);
+
+    IncrementalMatchingOracle oracle(graph);
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      const int before = oracle.size();
+      oracle.add_x(order[k]);
+      if (oracle.size() == before) ++failed_adds;
+      // A what-if over a random handful of the slots not yet added.
+      std::vector<int> extra;
+      for (std::size_t r = k + 1; r < order.size(); ++r) {
+        if (rng.bernoulli(0.3)) extra.push_back(order[r]);
+      }
+      check_oracle(graph, oracle, extra, "random order");
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(failed_adds, 300);
+}
+
+TEST(IncrementalMatchingOracle, LaterSlotNextToADeadJobStillAugments) {
+  // Slots 0 and 1 both see only job 0: adding slot 1 fails, so job 0 is
+  // dead. Slot 2 sees job 0 first, then job 1, and must still match job 1;
+  // slot 3 sees only job 0 and must fail; slot 4 reaches job 2 only by
+  // displacing job 1 from slot 2 along 4 -> 1 -> 2 -> 2.
+  BipartiteGraph graph(5, 3);
+  graph.add_edge(0, 0);
+  graph.add_edge(1, 0);
+  graph.add_edge(2, 0);
+  graph.add_edge(2, 1);
+  graph.add_edge(2, 2);
+  graph.add_edge(3, 0);
+  graph.add_edge(4, 0);
+  graph.add_edge(4, 1);
+
+  IncrementalMatchingOracle oracle(graph);
+  EXPECT_EQ(oracle.add_x(0), 1);
+  EXPECT_EQ(oracle.add_x(1), 0);
+  check_oracle(graph, oracle, {2, 3, 4}, "after the failed add");
+  EXPECT_EQ(oracle.gain_of({3}), 0);
+  EXPECT_EQ(oracle.gain_of({2, 4}), 2);
+  EXPECT_EQ(oracle.add_x(2), 1);
+  EXPECT_EQ(oracle.match_x()[2], 1);
+  EXPECT_EQ(oracle.add_x(3), 0);
+  check_oracle(graph, oracle, {4}, "after the second failed add");
+  EXPECT_EQ(oracle.add_x(4), 1);
+  EXPECT_EQ(oracle.size(), 3);
+  EXPECT_EQ(oracle.match_x()[4], 1);
+  EXPECT_EQ(oracle.match_x()[2], 2);
+  check_oracle(graph, oracle, {}, "at the end");
+}
+
+}  // namespace
+}  // namespace ps::matching

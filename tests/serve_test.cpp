@@ -549,6 +549,37 @@ TEST(Serve, InfeasibleJobCountIsARuntimeErrorAndTheConnectionSurvives) {
   EXPECT_EQ(wire.id, "next");
 }
 
+TEST(Serve, BadSetCoverShapeIsARuntimeErrorAndTheConnectionSurvives) {
+  ServerFixture fixture;
+  Client client(fixture.port());
+  ASSERT_TRUE(client.valid());
+
+  // Sets of 20 distinct elements cannot be drawn from 10: the generator
+  // throws inside the trial instead of reading past its sample.
+  engine::SolveRequest bad_shape = generator_request("bad-shape");
+  bad_shape.solver = "setcover.pipeline";
+  bad_shape.params = engine::ParamMap{{"set_size", 20.0}, {"elements", 10.0}};
+  ASSERT_TRUE(client.send_line(serve::render_request_line(bad_shape)));
+  std::string response;
+  ASSERT_TRUE(client.read_line(response));
+  serve::WireResponse wire;
+  std::string error;
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_FALSE(wire.ok);
+  EXPECT_EQ(wire.id, "bad-shape");
+  EXPECT_EQ(wire.error, serve::kErrorRuntime);
+  EXPECT_NE(wire.message.find("set_size=20"), std::string::npos)
+      << wire.message;
+
+  // The next request on the same connection is served normally.
+  ASSERT_TRUE(
+      client.send_line(serve::render_request_line(generator_request("next"))));
+  ASSERT_TRUE(client.read_line(response));
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_TRUE(wire.ok);
+  EXPECT_EQ(wire.id, "next");
+}
+
 TEST(Serve, GracefulDrainAnswersAdmittedRequests) {
   serve::ServeOptions options;
   options.debug_delay_ms = 50;
