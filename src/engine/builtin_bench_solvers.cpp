@@ -110,6 +110,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -492,6 +493,17 @@ scheduling::RandomInstanceParams prize_instance_params(const ParamMap& params,
   return gen;
 }
 
+/// Instance draws one trial may make before it gives up on its shape, so a
+/// shape that can never succeed (e.g. a value target above the total value)
+/// fails instead of spinning for good. The cap is far above what the preset
+/// trials need: no e4 or e5 trial redraws, and one e13 trial draws twice.
+constexpr int kMaxInstanceDraws = 100;
+
+[[noreturn]] void throw_draws_exhausted(const std::string& what) {
+  throw std::runtime_error(what + " in " + std::to_string(kMaxInstanceDraws) +
+                           " instance draws (the retry cap)");
+}
+
 /// Draws feasible instances until one has a brute-force prize-collecting
 /// optimum; returns (instance, Z, OPT). The retry loop consumes only the
 /// instance stream, so it replays identically for every algo-param setting,
@@ -505,7 +517,7 @@ struct PrizeCase {
 PrizeCase draw_prize_case(const ParamMap& params, util::Rng& instance_rng,
                           const scheduling::RestartCostModel& model,
                           double max_value, double zfrac, const char* tag) {
-  for (;;) {
+  for (int draw = 0; draw < kMaxInstanceDraws; ++draw) {
     const std::uint64_t fingerprint = instance_rng();
     auto instance = scheduling::random_feasible_instance(
         prize_instance_params(params, max_value), instance_rng);
@@ -520,6 +532,8 @@ PrizeCase draw_prize_case(const ParamMap& params, util::Rng& instance_rng,
         });
     if (opt_cost >= 0.0) return {std::move(instance), z, opt_cost};
   }
+  throw_draws_exhausted("prize: no instance reached the value target zfrac=" +
+                        format_param(zfrac));
 }
 
 void register_prize(SolverRegistry& registry) {
@@ -578,7 +592,7 @@ void register_dp(SolverRegistry& registry) {
     const int n = params.get_int("jobs", 6);
     const int horizon = params.get_int("horizon", 30);
     const double alpha = params.get("alpha", 2.0);
-    for (;;) {
+    for (int draw = 0; draw < kMaxInstanceDraws; ++draw) {
       const auto jobs = scheduling::random_agreeable_jobs(
           n, horizon, 2, 6, 1.0, 1.0, instance_rng);
       const auto dp = scheduling::min_energy_schedule_all(jobs, horizon,
@@ -597,6 +611,8 @@ void register_dp(SolverRegistry& registry) {
                      2.0 * std::log2(static_cast<double>(n) + 1.0));
       return out;
     }
+    throw_draws_exhausted(
+        "dp.agreeable: no instance both the DP and the greedy could schedule");
   });
 
   registry.add_fn("dp.gap_frontier", [](const ParamMap& params,

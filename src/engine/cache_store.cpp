@@ -6,16 +6,17 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cmath>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <iterator>
-#include <sstream>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/time.hpp"
+#include "util/number_codec.hpp"
 
 namespace ps::engine {
 
@@ -53,43 +54,97 @@ bool load_error(const std::string& path, std::size_t line_no,
   return false;
 }
 
-/// Parses one whitespace-separated token as a double, requiring the whole
-/// token to be consumed. strtod round-trips the %.17g rendering exactly, so
-/// a loaded accumulator state is bit-identical to the saved one. Underflow
-/// (glibc flags subnormals with ERANGE even though the value is exact) is
-/// accepted; only overflow to ±HUGE_VAL is rejected.
-bool parse_double(std::istringstream& in, double& out) {
-  std::string token;
-  if (!(in >> token)) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') return false;
-  return !(errno == ERANGE && (out == HUGE_VAL || out == -HUGE_VAL));
+/// Splits one line into whitespace-separated tokens in place, with the
+/// separators `istream >>` uses.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  /// The next token, or an empty view when the line has none left.
+  std::string_view next() {
+    std::size_t i = 0;
+    while (i < rest_.size() && is_space(rest_[i])) ++i;
+    std::size_t j = i;
+    while (j < rest_.size() && !is_space(rest_[j])) ++j;
+    const std::string_view token = rest_.substr(i, j - i);
+    rest_.remove_prefix(j);
+    return token;
+  }
+
+  /// Reads the next token into `out`; false when the line has none left.
+  bool next(std::string& out) {
+    const std::string_view token = next();
+    out.assign(token);
+    return !token.empty();
+  }
+
+ private:
+  static bool is_space(char ch) {
+    return std::isspace(static_cast<unsigned char>(ch)) != 0;
+  }
+
+  std::string_view rest_;
+};
+
+/// Parses the next token as a double that uses the whole token (see
+/// util::parse_double). A loaded accumulator state is therefore
+/// bit-identical to the saved one; decimals no save writes (a leading '+',
+/// hex, values that round to zero or infinity) fail the line.
+bool parse_double(Fields& fields, double& out) {
+  return util::parse_double(fields.next(), out);
 }
 
-bool parse_size(std::istringstream& in, std::size_t& out) {
-  std::string token;
-  if (!(in >> token)) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = static_cast<std::size_t>(std::strtoull(token.c_str(), &end, 10));
-  return end != token.c_str() && *end == '\0' && errno == 0;
+/// Parses the next token as an unsigned decimal count that uses the whole
+/// token; a sign, a hex prefix or trailing characters fail the line.
+bool parse_size(Fields& fields, std::size_t& out) {
+  std::uint64_t value = 0;
+  if (!util::parse_count(fields.next(), value)) return false;
+  out = static_cast<std::size_t>(value);
+  return true;
 }
 
-bool parse_accumulator_state(std::istringstream& in,
+bool parse_accumulator_state(Fields& fields,
                              util::Accumulator::State& state) {
-  return parse_size(in, state.count) && parse_double(in, state.mean) &&
-         parse_double(in, state.m2) && parse_double(in, state.min) &&
-         parse_double(in, state.max) && parse_double(in, state.sum);
+  return parse_size(fields, state.count) && parse_double(fields, state.mean) &&
+         parse_double(fields, state.m2) && parse_double(fields, state.min) &&
+         parse_double(fields, state.max) && parse_double(fields, state.sum);
 }
 
-void write_accumulator_state(std::ostream& out,
-                             const util::Accumulator& acc) {
+/// Appends each of `parts` to `out`.
+void append(std::string& out, std::initializer_list<std::string_view> parts) {
+  for (const std::string_view part : parts) out += part;
+}
+
+/// One `acc` / `metric` line: keyword, name, then the streaming state.
+void append_state_line(std::string& out, std::string_view keyword,
+                       std::string_view name, const util::Accumulator& acc) {
   const util::Accumulator::State state = acc.state();
-  out << state.count << ' ' << format_param(state.mean) << ' '
-      << format_param(state.m2) << ' ' << format_param(state.min) << ' '
-      << format_param(state.max) << ' ' << format_param(state.sum);
+  append(out, {keyword, " ", name, " ", std::to_string(state.count)});
+  for (double v : {state.mean, state.m2, state.min, state.max, state.sum}) {
+    out += ' ';
+    util::append_param(out, v);
+  }
+  out += '\n';
+}
+
+/// Reads the whole file at `path` into `text`; false when it cannot be
+/// opened.
+bool read_file(const std::string& path, std::string& text) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  text.resize(file_size(path));
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  return true;
+}
+
+/// Splits the next line off `rest`, as std::getline does: false at the end.
+bool next_line(std::string_view& rest, std::string_view& line) {
+  if (rest.empty()) return false;
+  const std::size_t eol = rest.find('\n');
+  line = rest.substr(0, eol);
+  rest.remove_prefix(eol == std::string_view::npos ? rest.size() : eol + 1);
+  return true;
 }
 
 /// The five core accumulators, in fixed file order.
@@ -106,13 +161,15 @@ constexpr const char* kSampledAccumulators[] = {"objective", "ratio", "cost",
 /// retained readings in ascending order (sorted_samples() — the canonical
 /// deterministic order, so the emitted bytes never depend on whether a
 /// percentile was computed before the save).
-void write_samples_line(std::ostream& out, const char* keyword,
-                        const std::string& name,
-                        const util::Accumulator& acc) {
+void append_samples_line(std::string& out, std::string_view keyword,
+                         std::string_view name, const util::Accumulator& acc) {
   const std::vector<double>& sorted = acc.sorted_samples();
-  out << keyword << ' ' << name << ' ' << sorted.size();
-  for (double v : sorted) out << ' ' << format_param(v);
-  out << '\n';
+  append(out, {keyword, " ", name, " ", std::to_string(sorted.size())});
+  for (double v : sorted) {
+    out += ' ';
+    util::append_param(out, v);
+  }
+  out += '\n';
 }
 
 /// Whether every sample-bearing accumulator of `result` retained its
@@ -145,21 +202,22 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
   if (!file_exists(path_)) return true;  // nothing persisted yet
   const obs::StopWatch watch;
   std::size_t entries_loaded = 0;
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!read_file(path_, text)) {
     std::fprintf(stderr, "cache load: cannot open '%s'\n", path_.c_str());
     return false;
   }
 
-  std::string line;
+  std::string_view rest(text);
+  std::string_view line;
   std::size_t line_no = 1;
-  if (!std::getline(in, line)) {
+  if (!next_line(rest, line)) {
     return load_error(path_, line_no, "not a powersched scenario cache file");
   }
   if (line != kScenarioCacheFormatHeader) {
-    if (line.rfind("powersched-scenario-cache", 0) == 0) {
+    if (line.starts_with("powersched-scenario-cache")) {
       return load_error(path_, line_no,
-                        "version mismatch: file is '" + line +
+                        "version mismatch: file is '" + std::string(line) +
                             "', this build reads '" +
                             kScenarioCacheFormatHeader +
                             "' — regenerate the cache file");
@@ -177,12 +235,11 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
   int samples_flag = 0;
   std::map<std::string, std::vector<double>> core_samples;
   std::map<std::string, std::vector<double>> metric_samples;
-  while (std::getline(in, line)) {
+  while (next_line(rest, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::istringstream fields(line);
-    std::string keyword;
-    fields >> keyword;
+    Fields fields(line);
+    const std::string keyword(fields.next());
 
     if (!in_entry) {
       if (keyword != "scenario") {
@@ -196,7 +253,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
       samples_flag = 0;
       core_samples.clear();
       metric_samples.clear();
-      if (!(fields >> spec.solver)) {
+      if (!fields.next(spec.solver)) {
         return load_error(path_, line_no, "scenario line missing solver name");
       }
       in_entry = true;
@@ -204,9 +261,12 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     }
 
     if (keyword == "trials") {
-      if (!(fields >> spec.trials)) {
+      std::size_t trials = 0;
+      if (!parse_size(fields, trials) ||
+          trials > static_cast<std::size_t>(INT_MAX)) {
         return load_error(path_, line_no, "bad trials line");
       }
+      spec.trials = static_cast<int>(trials);
     } else if (keyword == "seed") {
       std::size_t seed = 0;
       if (!parse_size(fields, seed)) {
@@ -216,13 +276,13 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     } else if (keyword == "param") {
       std::string name;
       double value = 0.0;
-      if (!(fields >> name) || !parse_double(fields, value)) {
+      if (!fields.next(name) || !parse_double(fields, value)) {
         return load_error(path_, line_no, "bad param line");
       }
       spec.params.set(name, value);
     } else if (keyword == "algo_param") {
       std::string name;
-      if (!(fields >> name)) {
+      if (!fields.next(name)) {
         return load_error(path_, line_no, "bad algo_param line");
       }
       spec.algo_params.push_back(name);
@@ -234,8 +294,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
       // The 0/1 samples flag is a required third field — a v2 header over
       // a body without it fails here rather than loading half-understood.
       std::size_t flag = 0;
-      std::string extra;
-      if (!parse_size(fields, flag) || flag > 1 || (fields >> extra)) {
+      if (!parse_size(fields, flag) || flag > 1 || !fields.next().empty()) {
         return load_error(path_, line_no,
                           "bad aggregate line: v2 requires "
                           "'aggregate <trials> <infeasible> <0|1>'");
@@ -251,7 +310,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
       }
       std::string name;
       std::size_t count = 0;
-      if (!(fields >> name) || !parse_size(fields, count)) {
+      if (!fields.next(name) || !parse_size(fields, count)) {
         return load_error(path_, line_no, "bad " + keyword + " line");
       }
       if (keyword == "samples") {
@@ -280,8 +339,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
         }
         values.push_back(value);
       }
-      std::string extra;
-      if (fields >> extra) {
+      if (!fields.next().empty()) {
         return load_error(path_, line_no,
                           keyword + " '" + name +
                               "': trailing tokens after the declared " +
@@ -295,7 +353,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     } else if (keyword == "acc") {
       std::string name;
       util::Accumulator::State state;
-      if (!(fields >> name) || !parse_accumulator_state(fields, state)) {
+      if (!fields.next(name) || !parse_accumulator_state(fields, state)) {
         return load_error(path_, line_no, "bad acc line");
       }
       util::Accumulator* acc = core_accumulator(result, name);
@@ -307,7 +365,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     } else if (keyword == "metric") {
       std::string name;
       util::Accumulator::State state;
-      if (!(fields >> name) || !parse_accumulator_state(fields, state)) {
+      if (!fields.next(name) || !parse_accumulator_state(fields, state)) {
         return load_error(path_, line_no, "bad metric line");
       }
       result.metrics.insert_or_assign(name,
@@ -385,7 +443,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     auto& registry = obs::Registry::global();
     registry.counter("cache.store.load.files").add(1);
     registry.counter("cache.store.load.entries").add(entries_loaded);
-    registry.counter("cache.store.load.bytes").add(file_size(path_));
+    registry.counter("cache.store.load.bytes").add(text.size());
     registry.histogram("cache.store.load.ns").record(watch.ns());
   }
   return true;
@@ -404,6 +462,9 @@ bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
   }
 
   out << kScenarioCacheFormatHeader << '\n';
+  // One entry's text at a time: the buffer is reused, so a save holds at
+  // most the largest entry beside the cache itself.
+  std::string entry;
   for (const auto& [key, result] : cache.snapshot()) {
     const ScenarioSpec& spec = result->spec;
     bool names_ok = plain_token(spec.solver);
@@ -426,42 +487,44 @@ bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
       return false;
     }
 
-    out << "scenario " << spec.solver << '\n';
-    out << "trials " << spec.trials << '\n';
-    out << "seed " << spec.seed << '\n';
+    entry.clear();
+    append(entry, {"scenario ", spec.solver, "\ntrials ",
+                   std::to_string(spec.trials), "\nseed ",
+                   std::to_string(spec.seed), "\n"});
     for (const auto& [name, value] : spec.params.values()) {
-      out << "param " << name << ' ' << format_param(value) << '\n';
+      append(entry, {"param ", name, " "});
+      util::append_param(entry, value);
+      entry += '\n';
     }
     for (const auto& name : spec.algo_params) {
-      out << "algo_param " << name << '\n';
+      append(entry, {"algo_param ", name, "\n"});
     }
     const bool with_samples = all_samples_kept(*result);
-    out << "aggregate " << result->trials_run << ' ' << result->infeasible
-        << ' ' << (with_samples ? 1 : 0) << '\n';
+    append(entry, {"aggregate ", std::to_string(result->trials_run), " ",
+                   std::to_string(result->infeasible),
+                   with_samples ? " 1\n" : " 0\n"});
     const util::Accumulator* const core[] = {
         &result->objective, &result->ratio, &result->cost,
         &result->oracle_calls, &result->wall_ms};
     for (std::size_t i = 0; i < std::size(kCoreAccumulators); ++i) {
-      out << "acc " << kCoreAccumulators[i] << ' ';
-      write_accumulator_state(out, *core[i]);
-      out << '\n';
+      append_state_line(entry, "acc", kCoreAccumulators[i], *core[i]);
     }
     if (with_samples) {
       for (std::size_t i = 0; i < std::size(kSampledAccumulators); ++i) {
-        write_samples_line(out, "samples", kSampledAccumulators[i], *core[i]);
+        append_samples_line(entry, "samples", kSampledAccumulators[i],
+                            *core[i]);
       }
     }
     for (const auto& [name, acc] : result->metrics) {
-      out << "metric " << name << ' ';
-      write_accumulator_state(out, acc);
-      out << '\n';
+      append_state_line(entry, "metric", name, acc);
     }
     if (with_samples) {
       for (const auto& [name, acc] : result->metrics) {
-        write_samples_line(out, "metric_samples", name, acc);
+        append_samples_line(entry, "metric_samples", name, acc);
       }
     }
-    out << "end\n";
+    entry += "end\n";
+    out.write(entry.data(), static_cast<std::streamsize>(entry.size()));
     ++entries_saved;
   }
 

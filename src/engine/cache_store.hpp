@@ -4,13 +4,17 @@
 // and shards computed in separate processes (or on separate machines) can
 // be merged back into one plan.
 //
-// The format round-trips every double through %.17g, which is exact for
-// IEEE-754 binary64: a result loaded from disk reproduces the original
-// aggregates bit-for-bit, and a merged multi-shard run therefore emits the
-// same CSV bytes a single-process run would have. Files start with a
-// version header and loading is loud and fails closed on any version or
-// schema mismatch — a half-understood cache must never silently feed a
-// results table. Saves write to a temp file in the same directory and
+// Every number goes through util/number_codec.hpp: doubles are written as
+// %.17g (std::to_chars), which is exact for IEEE-754 binary64, and read back
+// with std::from_chars, so a result loaded from disk reproduces the original
+// aggregates bit-for-bit and a merged multi-shard run emits the same CSV
+// bytes a single-process run would have. Files start with a version header
+// and loading is loud and fails closed on any version or schema mismatch —
+// a half-understood cache must never silently feed a results table. That
+// includes numbers no save writes: a token must be a whole unsigned decimal
+// count or a whole decimal double, so a sign on a count, a leading '+',
+// hex, trailing characters, or a decimal that rounds to zero or infinity
+// fail the load with the file and line named. Saves write to a temp file in the same directory and
 // rename into place, so concurrent writers cannot interleave and readers
 // never observe a torn file.
 //

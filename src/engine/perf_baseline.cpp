@@ -59,12 +59,6 @@ double median_ns_per_op(const Solver& solver, const ScenarioSpec& spec,
                     : (rep_ns[n / 2 - 1] + rep_ns[n / 2]) / 2.0;
 }
 
-std::string format_number(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
-
 std::string entry_key(const BenchEntry& entry) {
   return entry.preset + "/" + entry.kernel + "{" + entry.params + "}";
 }
@@ -153,8 +147,8 @@ std::string render_bench_json(const BenchReport& report) {
            "\", \"params\": \"" + obs::json_escape(entry.params) +
            "\", \"trials\": " + std::to_string(entry.trials) +
            ", \"reps\": " + std::to_string(entry.reps) +
-           ", \"ns_per_op\": " + format_number(entry.ns_per_op) +
-           ", \"trials_per_sec\": " + format_number(entry.trials_per_sec) +
+           ", \"ns_per_op\": " + format_param(entry.ns_per_op) +
+           ", \"trials_per_sec\": " + format_param(entry.trials_per_sec) +
            "}";
   }
   out += report.entries.empty() ? "]\n" : "\n  ]\n";

@@ -6,6 +6,10 @@
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "scheduling/baselines.hpp"
+#include "scheduling/cost_model.hpp"
+#include "scheduling/instance_io.hpp"
+#include "util/number_codec.hpp"
 
 namespace ps::engine {
 namespace {
@@ -67,6 +71,19 @@ double cached_reference(const std::string& key,
     promise.set_exception(std::current_exception());
     throw;
   }
+}
+
+double power_opt_reference(const scheduling::SchedulingInstance& instance,
+                           double alpha) {
+  std::string key = "power.opt|";
+  key += scheduling::instance_to_text(instance);
+  key += '|';
+  util::append_param(key, alpha);
+  return cached_reference(key, [&] {
+    const scheduling::RestartCostModel model(alpha);
+    const auto opt = scheduling::brute_force_min_cost_all_jobs(instance, model);
+    return opt ? opt->energy_cost : -1.0;
+  });
 }
 
 ReferenceCacheStats reference_cache_stats() {

@@ -11,6 +11,10 @@
 #include <functional>
 #include <string>
 
+namespace ps::scheduling {
+class SchedulingInstance;
+}  // namespace ps::scheduling
+
 namespace ps::engine {
 
 /// Returns the cached value under `key`, computing it with `compute` (and
@@ -30,6 +34,14 @@ namespace ps::engine {
 /// parameters and trial index, so the first word identifies it).
 double cached_reference(const std::string& key,
                         const std::function<double()>& compute);
+
+/// The brute-force all-jobs optimum of `instance` under a restart cost of
+/// `alpha`, memoized under "power.opt|<instance text>|<alpha>". Sweeps
+/// (`vs_opt=1`) and SolveService instance requests share this one key, so
+/// an instance priced by either is a hit for the other. Returns -1 when the
+/// instance has no full schedule.
+double power_opt_reference(const scheduling::SchedulingInstance& instance,
+                           double alpha);
 
 struct ReferenceCacheStats {
   std::size_t hits = 0;

@@ -1,8 +1,6 @@
 #include "engine/scenario.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 namespace ps::engine {
 namespace {
@@ -47,12 +45,6 @@ std::uint64_t finish_seed(std::uint64_t prefix, std::uint64_t base_seed,
 }
 
 }  // namespace
-
-std::string format_param(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 double ParamMap::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);

@@ -17,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "util/number_codec.hpp"
+
 namespace ps::engine {
 
 /// Ordered name -> value parameter bag. Doubles cover every generator knob
@@ -95,8 +97,8 @@ struct ScenarioSpec {
 };
 
 /// Canonical %.17g rendering of a value — the round-trippable format used
-/// by parameter signatures and the sweep CSV cells.
-std::string format_param(double value);
+/// by parameter signatures and the sweep CSV cells (util/number_codec.hpp).
+using util::format_param;
 
 /// Derives a per-trial RNG seed from the base seed, a salt (empty for the
 /// instance stream, the solver name for the algorithm stream), the parameter

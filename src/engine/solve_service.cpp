@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <exception>
 #include <fstream>
 #include <memory>
@@ -44,24 +43,6 @@ std::string instance_solvers_joined() {
     out += key;
   }
   return out;
-}
-
-/// Brute-force optimum memoized under the SAME key builtin_solvers.cpp uses
-/// ("power.opt|" + serialized instance + "|alpha"), so a vs_opt request for
-/// an instance a sweep already priced is a cache hit and vice versa.
-/// Returns -1 when no full schedule exists.
-double instance_opt_reference(const scheduling::SchedulingInstance& instance,
-                              double alpha) {
-  char alpha_text[40];
-  std::snprintf(alpha_text, sizeof(alpha_text), "|%.17g", alpha);
-  std::string key = "power.opt|";
-  key += scheduling::instance_to_text(instance);
-  key += alpha_text;
-  return cached_reference(key, [&] {
-    const scheduling::RestartCostModel model(alpha);
-    const auto opt = scheduling::brute_force_min_cost_all_jobs(instance, model);
-    return opt ? opt->energy_cost : -1.0;
-  });
 }
 
 void fill_from_scenario(const ScenarioResult& result, SolveResponse& response) {
@@ -324,7 +305,7 @@ Status SolveService::solve_instance(const SolveRequest& request,
   response.metrics.emplace_back(
       "jobs_scheduled", static_cast<double>(schedule->num_scheduled()));
   if (vs_opt) {
-    const double opt_cost = instance_opt_reference(*instance, alpha);
+    const double opt_cost = power_opt_reference(*instance, alpha);
     // The solver found a full schedule, so one exists and brute force finds
     // one too; opt_cost < 0 is unreachable here, but stay defensive.
     if (opt_cost > 0.0) {

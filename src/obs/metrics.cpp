@@ -8,19 +8,12 @@
 #include <mutex>
 
 #include "obs/json.hpp"
+#include "util/number_codec.hpp"
 
 namespace ps::obs {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-
-/// %.17g — the same exact-round-trip rendering the engine uses for CSV
-/// cells, duplicated here so obs stays dependency-free.
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 }  // namespace
 
@@ -241,7 +234,7 @@ std::string render_metrics_text(const Registry::Snapshot& snapshot) {
   }
   for (const auto& row : snapshot.gauges) {
     std::snprintf(line, sizeof(line), "gauge   %-40s %s\n", row.name.c_str(),
-                  format_double(row.value).c_str());
+                  util::format_param(row.value).c_str());
     out += line;
   }
   for (const auto& row : snapshot.histograms) {
@@ -275,7 +268,7 @@ std::string render_metrics_json(const Registry::Snapshot& snapshot) {
     const auto& row = snapshot.gauges[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    \"" + json_escape(row.name) +
-           "\": " + format_double(row.value);
+           "\": " + util::format_param(row.value);
   }
   out += snapshot.gauges.empty() ? "},\n" : "\n  },\n";
   out += "  \"histograms\": {";
@@ -287,9 +280,9 @@ std::string render_metrics_json(const Registry::Snapshot& snapshot) {
            ", \"sum_ns\": " + std::to_string(row.sum_ns) +
            ", \"min_ns\": " + std::to_string(row.min_ns) +
            ", \"max_ns\": " + std::to_string(row.max_ns) +
-           ", \"p50_ns\": " + format_double(row.p50_ns) +
-           ", \"p95_ns\": " + format_double(row.p95_ns) +
-           ", \"p99_ns\": " + format_double(row.p99_ns) + "}";
+           ", \"p50_ns\": " + util::format_param(row.p50_ns) +
+           ", \"p95_ns\": " + util::format_param(row.p95_ns) +
+           ", \"p99_ns\": " + util::format_param(row.p99_ns) + "}";
   }
   out += snapshot.histograms.empty() ? "}\n" : "\n  }\n";
   out += "}\n";

@@ -1,5 +1,6 @@
-// ps::obs — dependency-free observability core: named counters, gauges,
-// and fixed-bucket latency histograms behind a lock-sharded Registry.
+// ps::obs — the observability core (no dependency beyond util's number
+// codec): named counters, gauges, and fixed-bucket latency histograms behind
+// a lock-sharded Registry.
 //
 // Design constraints, in order:
 //   1. Hot paths stay hot. Instruments are plain atomics; the registry's

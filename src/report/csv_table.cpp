@@ -1,10 +1,11 @@
 #include "report/csv_table.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <utility>
+
+#include "util/number_codec.hpp"
 
 namespace ps::report {
 namespace {
@@ -131,11 +132,8 @@ std::ptrdiff_t CsvTable::column(const std::string& name) const {
 
 bool CsvTable::numeric_cell(std::size_t row, std::size_t col,
                             double& value) const {
-  const std::string& text = rows_[row][col];
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
+  double parsed = 0.0;
+  if (!util::parse_double(rows_[row][col], parsed)) return false;
   value = parsed;
   return true;
 }

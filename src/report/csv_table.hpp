@@ -37,9 +37,10 @@ class CsvTable {
     return rows_[row][col];
   }
 
-  /// Numeric read of a cell. Returns false for an empty cell — the CSV's
-  /// "statistic undefined" encoding — or non-numeric text; `value` is
-  /// untouched then.
+  /// Numeric read of a cell through util::parse_double, the inverse of the
+  /// writer's format_param. Returns false for an empty cell — the CSV's
+  /// "statistic undefined" encoding — or text that is not a whole decimal
+  /// number; `value` is untouched then.
   bool numeric_cell(std::size_t row, std::size_t col, double& value) const;
 
  private:

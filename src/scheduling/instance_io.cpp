@@ -1,7 +1,8 @@
 #include "scheduling/instance_io.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/number_codec.hpp"
 
 namespace ps::scheduling {
 namespace {
@@ -48,9 +49,8 @@ void write_instance(std::ostream& os, const SchedulingInstance& instance) {
   os << "horizon " << instance.horizon() << "\n";
   os << "jobs " << instance.num_jobs() << "\n";
   for (const auto& job : instance.jobs()) {
-    char value_buf[40];
-    std::snprintf(value_buf, sizeof(value_buf), "%.17g", job.value);
-    os << "job " << value_buf << " " << job.allowed.size();
+    os << "job " << util::format_param(job.value) << " "
+       << job.allowed.size();
     for (const auto& ref : job.allowed) {
       os << " " << ref.processor << ":" << ref.time;
     }

@@ -7,6 +7,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/bench_presets.hpp"
@@ -625,6 +627,69 @@ TEST(CacheStoreV2, UnknownSampleNameAndMissingBlockFailClosed) {
   EXPECT_FALSE(ScenarioCacheStore(missing).load(cache));
   EXPECT_EQ(cache.size(), 0u);
   std::remove(missing.c_str());
+}
+
+TEST(CacheStoreV2, NumbersNoSaveWritesFailClosedNamingFileAndLine) {
+  // Each mutation turns one token of a genuine file into something the
+  // saver never writes: a negative count (strtoull used to wrap -1 to
+  // 2^64-1), trailing garbage, a '+' sign, hex, or a decimal that rounds to
+  // zero. The load must fail and name the file and the mutated line.
+  const std::pair<const char*, const char*> mutations[] = {
+      {"\naggregate 4 0 1\n", "\naggregate -1 0 1\n"},
+      {"\naggregate 4 0 1\n", "\naggregate 4 -1 1\n"},
+      {"\nseed 777\n", "\nseed -777\n"},
+      {"\nsamples objective 4 ", "\nsamples objective -4 "},
+      {"\nacc objective 4 ", "\nacc objective -4 "},
+      {"\ntrials 4\n", "\ntrials 5abc\n"},
+      {"\ntrials 4\n", "\ntrials +4\n"},
+      {"\ntrials 4\n", "\ntrials -4\n"},
+      {"\nparam alpha 2\n", "\nparam alpha +2\n"},
+      {"\nparam alpha 2\n", "\nparam alpha 0x10\n"},
+      {"\nseed 777\n", "\nseed 0x10\n"},
+      {"\nparam gaps 50\n", "\nparam gaps 1e-400\n"},
+      {"\nacc oracle_calls 4 0 ", "\nacc oracle_calls 4 1e-400 "},
+  };
+  for (const auto& [from, to] : mutations) {
+    const std::string path = temp_path("bad_number.cache");
+    write_tails_cache(path);
+    const std::string text = read_file(path);
+    const std::size_t pos = text.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    // `from` starts with the newline that ends the previous line.
+    const std::size_t line_no =
+        std::count(text.begin(), text.begin() + pos + 1, '\n') + 1;
+    mutate_file(path, from, to);
+
+    ScenarioCache cache;
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(ScenarioCacheStore(path).load(cache)) << to;
+    const std::string diagnostic = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(diagnostic.find("cache load: " + path + ":" +
+                              std::to_string(line_no) + ": "),
+              std::string::npos)
+        << to << " -> " << diagnostic;
+    EXPECT_EQ(cache.size(), 0u) << to;
+    std::remove(path.c_str());
+  }
+}
+
+TEST(CacheStoreV2, CommittedFixtureReloadsAndResavesByteForByte) {
+  // tests/data/tails_cache_v2.cache was written by the strtod/%.17g build
+  // that preceded the charconv codec (`sweep --preset e3 --tails
+  // --trials 3` then `--preset e15 --tails --tails-cap 3 --trials 4` into
+  // one file), so it pins the on-disk format across codec changes.
+  const std::string fixture =
+      std::string(POWERSCHED_SOURCE_DIR) + "/tests/data/tails_cache_v2.cache";
+  const std::string original = read_file(fixture);
+  ASSERT_FALSE(original.empty()) << fixture;
+
+  ScenarioCache cache;
+  ASSERT_TRUE(ScenarioCacheStore(fixture).load(cache));
+  EXPECT_EQ(cache.size(), 16u);
+  const std::string resaved = temp_path("fixture_resaved.cache");
+  ASSERT_TRUE(ScenarioCacheStore(resaved).save(cache));
+  EXPECT_EQ(read_file(resaved), original);
+  std::remove(resaved.c_str());
 }
 
 TEST(CacheStoreV2, SampleLessCacheEntryIsRecomputedUnderTails) {

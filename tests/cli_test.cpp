@@ -5,6 +5,7 @@
 // (docs/cli.md) covering every command.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
@@ -249,6 +250,21 @@ TEST(Cli, SolveUsageErrorsAndEndToEnd) {
                      "jobs=50", "--param", "processors=1", "--param",
                      "horizon=2"}),
             1);
+  // Shapes whose instance draws can never succeed (a value target above
+  // the total value; more agreeable jobs than the horizon schedules) stop
+  // at the retry cap with a runtime failure instead of spinning.
+  const std::vector<std::vector<std::string>> unreachable = {
+      {"solve", "--solver", "prize.bicriteria", "--param", "zfrac=2"},
+      {"solve", "--solver", "prize.value_floor", "--param", "zfrac=2"},
+      {"solve", "--solver", "dp.agreeable", "--param", "jobs=50", "--param",
+       "horizon=10"}};
+  for (const auto& args : unreachable) {
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(run(args), 1) << args[2];
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1))
+        << args[2];
+  }
   // The happy path answers on stdout and exits 0.
   EXPECT_EQ(run_cli({"solve", "--solver", "power.greedy", "--trials", "2"}),
             0);

@@ -580,6 +580,39 @@ TEST(Serve, BadSetCoverShapeIsARuntimeErrorAndTheConnectionSurvives) {
   EXPECT_EQ(wire.id, "next");
 }
 
+TEST(Serve, UnreachableInstanceShapeIsARuntimeErrorAndTheConnectionSurvives) {
+  ServerFixture fixture;
+  Client client(fixture.port());
+  ASSERT_TRUE(client.valid());
+
+  // A value target of twice the total value is never reachable: the trial
+  // stops at the instance-draw cap instead of holding the worker for good.
+  engine::SolveRequest unreachable = generator_request("unreachable");
+  unreachable.solver = "prize.bicriteria";
+  unreachable.params = engine::ParamMap{{"zfrac", 2.0}};
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(client.send_line(serve::render_request_line(unreachable)));
+  std::string response;
+  ASSERT_TRUE(client.read_line(response));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  serve::WireResponse wire;
+  std::string error;
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_FALSE(wire.ok);
+  EXPECT_EQ(wire.id, "unreachable");
+  EXPECT_EQ(wire.error, serve::kErrorRuntime);
+  EXPECT_NE(wire.message.find("100 instance draws"), std::string::npos)
+      << wire.message;
+
+  // The next request on the same connection is served normally.
+  ASSERT_TRUE(
+      client.send_line(serve::render_request_line(generator_request("next"))));
+  ASSERT_TRUE(client.read_line(response));
+  ASSERT_TRUE(serve::parse_response_line(response, wire, &error)) << error;
+  EXPECT_TRUE(wire.ok);
+  EXPECT_EQ(wire.id, "next");
+}
+
 TEST(Serve, GracefulDrainAnswersAdmittedRequests) {
   serve::ServeOptions options;
   options.debug_delay_ms = 50;

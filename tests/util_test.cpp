@@ -1,5 +1,6 @@
 // Unit tests for src/util: RNG distributions and determinism, thread pool,
-// statistics accumulators, table and CSV formatting.
+// statistics accumulators, table and CSV formatting, and the number codec
+// against its printf/strtod oracles.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +9,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -17,6 +21,7 @@
 
 #include "obs/time.hpp"
 #include "util/csv.hpp"
+#include "util/number_codec.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -448,6 +453,107 @@ TEST(StopWatch, MeasuresNonNegative) {
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_GE(t.milliseconds(), 0.0);
+}
+
+// --- number codec ------------------------------------------------------
+
+std::uint64_t bits_of(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+double from_bits(std::uint64_t bits) {
+  double value = 0.0;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+/// Checks one value against the oracles: format_param must write what
+/// printf("%.17g") writes, and parse_double must accept that rendering and
+/// return strtod's bits. Returns an empty string, or the first difference.
+std::string codec_difference(double value) {
+  char expected[64];
+  std::snprintf(expected, sizeof(expected), "%.17g", value);
+  const std::string rendered = format_param(value);
+  if (rendered != expected) {
+    return "render " + rendered + " vs printf " + expected;
+  }
+  double parsed = 0.0;
+  if (!parse_double(rendered, parsed)) return "parse rejected " + rendered;
+  const double oracle = std::strtod(expected, nullptr);
+  if (bits_of(parsed) != bits_of(oracle)) {
+    return "parse of " + rendered + " differs from strtod";
+  }
+  if (!std::isnan(value) && bits_of(parsed) != bits_of(value)) {
+    return "parse of " + rendered + " does not round-trip";
+  }
+  return "";
+}
+
+TEST(NumberCodec, MatchesPrintfAndStrtodOnAMillionBitPatterns) {
+  std::vector<double> values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::epsilon(),
+      from_bits(0x000fffffffffffffULL),  // largest subnormal
+      5e-321,
+      0.1,
+      1.0 / 3.0,
+      1e15,
+      1e16,
+      1e17,
+      123456789012345678.0};
+  Rng rng(20101001);
+  // Uniform bit patterns cover every exponent about equally often, NaN
+  // payloads included; ratios of small integers are the values the sweeps
+  // actually write.
+  for (int i = 0; i < 1'000'000; ++i) values.push_back(from_bits(rng()));
+  for (int i = 0; i < 100'000; ++i) {
+    values.push_back(static_cast<double>(rng.uniform_int(1, 1000)) /
+                     static_cast<double>(rng.uniform_int(1, 1000)));
+  }
+
+  std::size_t differences = 0;
+  std::string first;
+  for (double value : values) {
+    const std::string difference = codec_difference(value);
+    if (difference.empty()) continue;
+    if (differences++ == 0) first = difference;
+  }
+  EXPECT_EQ(differences, 0u) << "first: " << first;
+}
+
+TEST(NumberCodec, ParseRejectsWhatNoRenderingWrites) {
+  double value = 0.0;
+  for (const char* token : {"", "+1", "0x10", "0x1p3", " 1", "1 ", "1.5abc",
+                            "1e", "1e-400", "-1e-400", "1e400", "-1e400"}) {
+    EXPECT_FALSE(parse_double(token, value)) << "'" << token << "'";
+  }
+  // An exact subnormal keeps its value and loads.
+  ASSERT_TRUE(parse_double("5e-321", value));
+  EXPECT_EQ(value, std::strtod("5e-321", nullptr));
+  ASSERT_TRUE(parse_double("-0", value));
+  EXPECT_TRUE(std::signbit(value));
+
+  std::uint64_t count = 0;
+  for (const char* token : {"", "-1", "+1", "0x10", "5abc", " 5", "5 ", "1e3",
+                            "18446744073709551616"}) {
+    EXPECT_FALSE(parse_count(token, count)) << "'" << token << "'";
+  }
+  ASSERT_TRUE(parse_count("18446744073709551615", count));
+  EXPECT_EQ(count, std::numeric_limits<std::uint64_t>::max());
+  ASSERT_TRUE(parse_count("0", count));
+  EXPECT_EQ(count, 0u);
 }
 
 }  // namespace
